@@ -3,6 +3,7 @@
 use crate::store::ReplicaStore;
 use ltds_core::units::Hours;
 use ltds_replication::independence::DiversityProfile;
+use std::sync::Arc;
 
 /// A replica site: one node of the archive.
 #[derive(Debug)]
@@ -65,7 +66,7 @@ impl ArchiveNode {
     }
 
     /// Reads an object if the node is online.
-    pub fn read(&self, id: &str) -> Option<bytes::Bytes> {
+    pub fn read(&self, id: &str) -> Option<Arc<[u8]>> {
         if self.online {
             self.store.get(id)
         } else {

@@ -1,16 +1,18 @@
 //! The per-node object store, with corruption hooks.
 
-use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+type Objects = BTreeMap<String, Arc<[u8]>>;
 
 /// An in-memory object store standing in for one node's disk.
 ///
 /// All mutation goes through explicit methods so fault injection (bit flips,
-/// deletions) is auditable in tests and experiments.
+/// deletions) is auditable in tests and experiments. Objects are shared
+/// immutable buffers, so reads are reference-count bumps.
 #[derive(Debug, Default)]
 pub struct ReplicaStore {
-    objects: RwLock<BTreeMap<String, Bytes>>,
+    objects: RwLock<Objects>,
 }
 
 impl ReplicaStore {
@@ -19,46 +21,57 @@ impl ReplicaStore {
         Self::default()
     }
 
+    // Every update is a single map operation that leaves the map valid, so
+    // a panicked holder cannot leave it half-written: recover the guard
+    // instead of poisoning the store.
+    fn read_guard(&self) -> RwLockReadGuard<'_, Objects> {
+        self.objects.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write_guard(&self) -> RwLockWriteGuard<'_, Objects> {
+        self.objects.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Writes (or overwrites) an object.
-    pub fn put(&self, id: impl Into<String>, data: impl Into<Bytes>) {
-        self.objects.write().insert(id.into(), data.into());
+    pub fn put(&self, id: impl Into<String>, data: impl Into<Arc<[u8]>>) {
+        self.write_guard().insert(id.into(), data.into());
     }
 
     /// Reads an object, if present.
-    pub fn get(&self, id: &str) -> Option<Bytes> {
-        self.objects.read().get(id).cloned()
+    pub fn get(&self, id: &str) -> Option<Arc<[u8]>> {
+        self.read_guard().get(id).cloned()
     }
 
     /// Removes an object, returning whether it was present.
     pub fn delete(&self, id: &str) -> bool {
-        self.objects.write().remove(id).is_some()
+        self.write_guard().remove(id).is_some()
     }
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.objects.read().len()
+        self.read_guard().len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.objects.read().is_empty()
+        self.read_guard().is_empty()
     }
 
     /// Total stored bytes.
     pub fn total_bytes(&self) -> usize {
-        self.objects.read().values().map(|b| b.len()).sum()
+        self.read_guard().values().map(|b| b.len()).sum()
     }
 
     /// All object ids, sorted.
     pub fn object_ids(&self) -> Vec<String> {
-        self.objects.read().keys().cloned().collect()
+        self.read_guard().keys().cloned().collect()
     }
 
     /// Flips one bit of the stored object (silent corruption / bit rot).
     ///
     /// Returns `false` if the object does not exist or is empty.
     pub fn flip_bit(&self, id: &str, byte_index: usize, bit: u8) -> bool {
-        let mut guard = self.objects.write();
+        let mut guard = self.write_guard();
         let Some(data) = guard.get(id) else {
             return false;
         };
@@ -68,13 +81,13 @@ impl ReplicaStore {
         let mut copy = data.to_vec();
         let idx = byte_index % copy.len();
         copy[idx] ^= 1 << (bit % 8);
-        guard.insert(id.to_string(), Bytes::from(copy));
+        guard.insert(id.to_string(), copy.into());
         true
     }
 
     /// Drops every object (catastrophic media loss on this node).
     pub fn wipe(&self) {
-        self.objects.write().clear();
+        self.write_guard().clear();
     }
 }
 
@@ -140,6 +153,20 @@ mod tests {
         s.put("b", b"2".to_vec());
         s.wipe();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn a_panicked_holder_does_not_poison_the_store() {
+        let s = ReplicaStore::new();
+        s.put("a", b"1".to_vec());
+        let _ = std::panic::catch_unwind(|| {
+            let _guard = s.write_guard();
+            panic!("holder dies");
+        });
+        assert!(s.objects.is_poisoned());
+        assert_eq!(s.get("a").unwrap().as_ref(), b"1");
+        s.put("b", b"2".to_vec());
+        assert_eq!(s.len(), 2);
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //! * `event_dense_2k` — the event-dense small fleet (raw kernel throughput);
 //! * `dense_5k` — the mid-density sharded fleet whose per-shard queues sit
 //!   at the heap → calendar crossover;
-//! * `dense_1shard_telemetry_off` — `dense_1shard` again, named for what it
-//!   measures: the probe-generic kernel with telemetry disabled (the
-//!   `NoTelemetry` path every plain `run()` takes). `--check` pins the pair
-//!   within noise of each other so disabled probes provably compile out;
+//! * `dense_1shard_traced` — `dense_1shard` through `run_traced()`, with
+//!   telemetry on; its ratio to `dense_1shard` (the telemetry overhead) is
+//!   printed, not gated;
 //! * `mc_10k_trials` — 10 000 Monte-Carlo trials of the canonical group;
 //! * `mc_ziggurat` — 10 000 trials of the correlated (draw-dominated)
 //!   group pinned to the ziggurat discipline;
@@ -126,14 +125,6 @@ const DENSE_1SHARD_CEILING_MS: f64 = 20_000.0;
 /// touched slot; anything past noise means the policy machinery grew a
 /// per-event cost.
 const EC_KERNEL_MAX_RATIO: f64 = 1.3;
-
-/// `--check` requires `dense_1shard_telemetry_off` (the same workload run
-/// through the probe-generic kernel with telemetry disabled — the
-/// `NoTelemetry` static-dispatch path every plain `run()` takes) to stay
-/// within this factor of `dense_1shard`, in either direction. The window
-/// is noise-sized: disabled probes must compile out entirely, so any
-/// systematic gap means the probe surface grew a runtime cost.
-const TELEMETRY_OFF_MAX_RATIO: f64 = 1.3;
 
 /// `--check` requires `sweep_refine` to cost less than this fraction of
 /// `sweep_16_cold`. With 12 of 16 points cached the expected ratio is
@@ -333,17 +324,12 @@ fn main() {
                 .totals
                 .events
         }),
-        // Identical workload to `dense_1shard` by construction: `run()` is
-        // the probe-generic kernel instantiated with `NoTelemetry`, i.e.
-        // telemetry *off*. Recording it under its own name (and gating the
-        // pair in `--check`) keeps the disabled-probe path pinned to the
-        // uninstrumented cost — if the probe surface ever stops compiling
-        // out, this pair drifts apart and the check trips.
-        time_workload("dense_1shard_telemetry_off", repeats, || {
+        time_workload("dense_1shard_traced", repeats, || {
             FleetSim::new(workloads::event_dense_single_shard())
                 .seed(1)
-                .run()
+                .run_traced()
                 .expect("fleet run succeeds")
+                .0
                 .totals
                 .events
         }),
@@ -360,11 +346,18 @@ fn main() {
             result.rows.len() as u64
         }),
     ];
+    // The telemetry overhead is reported, not gated: it is a property of
+    // the traced path, not a regression tripwire.
+    let wall = |name: &str| results.iter().find(|w| w.name == name).expect("measured").wall_ms;
+    eprintln!(
+        "telemetry overhead: dense_1shard_traced is {:.2}x dense_1shard",
+        wall("dense_1shard_traced") / wall("dense_1shard")
+    );
 
     // Sweep-refinement pair: the refined 16-point grid cold, then the same
     // grid against a cache warmed with the canonical 12-point grid. The
     // driver pins one worker thread so the numbers are comparable across
-    // hosts (and the cache key is thread-shape-stable).
+    // hosts.
     let sweep_base = workloads::mc_group();
     let grid = workloads::sweep_grid();
     let refined = workloads::sweep_grid_refined();
@@ -701,29 +694,6 @@ fn main() {
             EC_KERNEL_MAX_RATIO,
             "the banded redundancy-policy path grew a per-event kernel cost",
         );
-        // Two-sided noise window: `dense_1shard_telemetry_off` is the same
-        // workload as `dense_1shard` through the disabled-probe path, so
-        // the pair must agree to within run-to-run noise in *either*
-        // direction.
-        {
-            let base = measured("dense_1shard").wall_ms;
-            let off = measured("dense_1shard_telemetry_off").wall_ms;
-            let ratio = off / base;
-            if !(1.0 / TELEMETRY_OFF_MAX_RATIO..=TELEMETRY_OFF_MAX_RATIO).contains(&ratio) {
-                eprintln!(
-                    "PERF CHECK FAILED: dense_1shard_telemetry_off / dense_1shard = {ratio:.2} \
-                     (window {:.2}..{TELEMETRY_OFF_MAX_RATIO}) — disabled probes are no longer \
-                     free",
-                    1.0 / TELEMETRY_OFF_MAX_RATIO
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "perf check ok: dense_1shard_telemetry_off {off:.1} ms within noise of \
-                     dense_1shard {base:.1} ms ({ratio:.2}x)"
-                );
-            }
-        }
         // Rare-event acceleration: importance sampling must reach the
         // target CI width with an order of magnitude fewer trials than
         // vanilla, and its measured per-root variance ratio must agree.

@@ -11,8 +11,7 @@
 //! cargo run -p ltds-bench --bin paper_experiments
 //! ```
 //!
-//! The Criterion benches in `benches/` measure how expensive each experiment
-//! is to regenerate and how the simulator and archive substrates scale.
+//! The `perfsmoke` binary times the canonical [`workloads`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,7 @@
-//! Canonical performance workloads, shared by the criterion benches and the
-//! `perfsmoke` binary so that "the fleet-year benchmark" always means the
-//! same configuration everywhere numbers are reported.
+//! Canonical performance workloads, shared by the `perfsmoke` binary, the
+//! experiments, the campaign and trace binaries and the repository
+//! benchmark, so that "the fleet-year benchmark" always means the same
+//! configuration everywhere numbers are reported.
 
 use ltds_fleet::{
     BurstProfile, FleetCampaign, FleetConfig, FleetScenario, FleetSim, FleetTopology,

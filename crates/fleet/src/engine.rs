@@ -22,7 +22,7 @@ use crate::placement::PlacementIndex;
 use crate::report::{FleetReport, ShardOutcome};
 use ltds_core::error::ModelError;
 use ltds_sim::cache::{CacheKey, ConfigDigest, SweepCache};
-use ltds_stochastic::SimRng;
+use ltds_stochastic::{parallel_ranges, SimRng};
 use ltds_telemetry::{
     RunTrace, ShardParams, ShardTelemetry, ShardTrace, TelemetryConfig, TraceMeta, TRACE_SCHEMA,
 };
@@ -164,64 +164,40 @@ impl FleetSim {
         let shards = self.config.shards;
         let index = PlacementIndex::build(&self.config, !bursts.is_empty());
         let kernel = ShardKernel::new(&self.config, &bursts, &index);
-        let threads = self.threads.min(shards).max(1);
         // The scrub-progress gauge tracks drive 0's tour as the fleet's
         // representative phase.
         let scrub = self.config.detection_for_drive(0);
 
-        let chunk = shards / threads;
-        let remainder = shards % threads;
-        let mut per_worker: Vec<Vec<(usize, ShardOutcome, ShardTrace)>> =
-            Vec::with_capacity(threads);
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut start = 0usize;
-            for t in 0..threads {
-                let count = chunk + usize::from(t < remainder);
-                let range = start..start + count;
-                start += count;
-                let master = master.clone();
-                let kernel = &kernel;
-                handles.push(scope.spawn(move |_| {
-                    let mut scratch = KernelScratch::new();
-                    range
-                        .map(|shard| {
-                            let rng = master.fork(shard as u64);
-                            let params = ShardParams {
-                                shard: shard as u32,
-                                shards: shards as u32,
-                                groups: kernel.groups_in_shard(shard),
-                                // The telemetry grid is strided by the widest
-                                // policy; the kernel renumbers variable-width
-                                // slots onto it (identity for uniform fleets).
-                                replicas: self.config.slot_stride(),
-                                sites: self.config.topology.sites,
-                                horizon_hours: self.config.horizon_hours,
-                                scrub,
-                            };
-                            let mut sink = ShardTelemetry::new(params, self.telemetry);
-                            let outcome = kernel.run_probed(shard, rng, &mut scratch, &mut sink);
-                            (shard, outcome, sink.finish())
-                        })
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                per_worker.push(handle.join().expect("fleet worker panicked"));
-            }
-        })
-        .expect("crossbeam scope failed");
+        let per_worker = parallel_ranges(shards, self.threads, |range| {
+            let mut scratch = KernelScratch::new();
+            range
+                .map(|shard| {
+                    let rng = master.fork(shard as u64);
+                    let params = ShardParams {
+                        shard: shard as u32,
+                        shards: shards as u32,
+                        groups: kernel.groups_in_shard(shard),
+                        // The telemetry grid is strided by the widest
+                        // policy; the kernel renumbers variable-width
+                        // slots onto it (identity for uniform fleets).
+                        replicas: self.config.slot_stride(),
+                        sites: self.config.topology.sites,
+                        horizon_hours: self.config.horizon_hours,
+                        scrub,
+                    };
+                    let mut sink = ShardTelemetry::new(params, self.telemetry);
+                    let outcome = kernel.run_probed(shard, rng, &mut scratch, &mut sink);
+                    (outcome, sink.finish())
+                })
+                .collect::<Vec<_>>()
+        });
 
-        // Merge strictly in shard order, exactly like the untraced path.
-        let mut slots: Vec<Option<(ShardOutcome, ShardTrace)>> =
-            (0..shards).map(|_| None).collect();
-        for (shard, outcome, trace) in per_worker.into_iter().flatten() {
-            slots[shard] = Some((outcome, trace));
-        }
+        // Merge strictly in shard order, exactly like the untraced path:
+        // the ranges come back in order, so flattening them walks shards
+        // `0..shards`.
         let mut totals = ShardOutcome::default();
         let mut shard_traces = Vec::with_capacity(shards);
-        for (shard, slot) in slots.into_iter().enumerate() {
-            let (outcome, trace) = slot.expect("every shard was simulated");
+        for (shard, (outcome, trace)) in per_worker.into_iter().flatten().enumerate() {
             if let Some(on_shard) = on_shard.as_deref_mut() {
                 on_shard(shard as u32, &outcome, &trace);
             }
@@ -295,39 +271,19 @@ impl FleetSim {
             // walks.
             let index = PlacementIndex::build(&self.config, !bursts.is_empty());
             let kernel = ShardKernel::new(&self.config, &bursts, &index);
-            let threads = self.threads.min(missing.len()).max(1);
-
             // Deal missing shards to workers in contiguous chunks.
-            let chunk = missing.len() / threads;
-            let remainder = missing.len() % threads;
-            let mut per_worker: Vec<Vec<(usize, ShardOutcome)>> = Vec::with_capacity(threads);
-            crossbeam::scope(|scope| {
-                let mut handles = Vec::new();
-                let mut start = 0usize;
-                for t in 0..threads {
-                    let count = chunk + usize::from(t < remainder);
-                    let worker_shards = &missing[start..start + count];
-                    start += count;
-                    let master = master.clone();
-                    let kernel = &kernel;
-                    handles.push(scope.spawn(move |_| {
-                        // One scratch per worker: per-shard setup reuses
-                        // the same buffers instead of reallocating.
-                        let mut scratch = KernelScratch::new();
-                        worker_shards
-                            .iter()
-                            .map(|&shard| {
-                                let rng = master.fork(shard as u64);
-                                (shard, kernel.run_with(shard, rng, &mut scratch))
-                            })
-                            .collect::<Vec<(usize, ShardOutcome)>>()
-                    }));
-                }
-                for handle in handles {
-                    per_worker.push(handle.join().expect("fleet worker panicked"));
-                }
-            })
-            .expect("crossbeam scope failed");
+            let per_worker = parallel_ranges(missing.len(), self.threads, |range| {
+                // One scratch per worker: per-shard setup reuses the same
+                // buffers instead of reallocating.
+                let mut scratch = KernelScratch::new();
+                missing[range]
+                    .iter()
+                    .map(|&shard| {
+                        let rng = master.fork(shard as u64);
+                        (shard, kernel.run_with(shard, rng, &mut scratch))
+                    })
+                    .collect::<Vec<(usize, ShardOutcome)>>()
+            });
 
             for (shard, outcome) in per_worker.into_iter().flatten() {
                 if let Some((cache, digest)) = cached {

@@ -6,8 +6,8 @@
 //! implemented by `ltds-fleet`) fleet-scale scenarios — into one serde
 //! round-trippable spec ([`Campaign`]). [`CampaignDriver`] executes it as a
 //! flat list of content-addressed work units (one sweep grid point or one
-//! fleet shard each, tagged with its [`CacheKey`]) pulled by a pool of
-//! worker threads over an MPMC channel: whichever worker is free takes the
+//! fleet shard each, tagged with its [`CacheKey`]) claimed by a pool of
+//! worker threads from a shared cursor: whichever worker is free takes the
 //! next unit, so stragglers never idle the pool, yet the *output* is
 //! thread-count-invariant — results are released to the [`ReportSink`] in
 //! unit order through a reorder buffer, as soon as the order-front
@@ -36,6 +36,8 @@ use ltds_telemetry::TelemetryConfig;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// The parameter axis a named sweep walks, with its grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -514,9 +516,8 @@ pub(crate) fn flatten_units<S: Scenario>(
         }
         for index in 0..spec.axis.len() {
             let config = spec.axis.config_at(&spec.base, index)?;
-            let request = PointRequest { config, trials: spec.trials, threads: Some(1) };
             let key = CacheKey {
-                digest: request.config_digest(),
+                digest: PointRequest::new(config, spec.trials).config_digest(),
                 seed: spec.seed.wrapping_add(index as u64),
                 shard: 0,
             };
@@ -579,7 +580,7 @@ impl<'a, S: Scenario> CampaignDriver<'a, S> {
     }
 
     /// Memoises sweep grid points through `cache` (shared with
-    /// `SweepDriver::threads(1)` sweeps over the same configurations).
+    /// `SweepDriver` sweeps over the same configurations).
     pub fn point_cache(mut self, cache: &'a SweepCache<MttdlEstimate>) -> Self {
         self.point_cache = Some(cache);
         self
@@ -625,58 +626,59 @@ impl<'a, S: Scenario> CampaignDriver<'a, S> {
         let limit = self.max_units.map_or(units.len(), |k| k.min(units.len()));
         let threads = self.threads.min(limit).max(1);
 
-        // Work-stealing pool: a shared MPMC channel of unit ordinals; free
-        // workers take the next unit. Results return tagged with their
-        // ordinal and are released to the sink strictly in order.
-        let (work_tx, work_rx) = crossbeam::channel::unbounded::<usize>();
-        for ordinal in 0..limit {
-            work_tx.send(ordinal).expect("work channel open");
-        }
-        drop(work_tx);
+        // Work-claiming pool: free workers claim the next unit ordinal from
+        // a shared cursor. Results return tagged with their ordinal and are
+        // released to the sink strictly in order. The cursor publishes no
+        // data (units are shared read-only, results travel through the
+        // channel), so its accesses are relaxed; being read-modify-writes,
+        // claims still see the latest store.
+        let cursor = AtomicUsize::new(0);
         type UnitResult = (usize, Value, bool, Option<Value>);
-        let (result_tx, result_rx) = crossbeam::channel::unbounded::<UnitResult>();
+        let (result_tx, result_rx) = mpsc::channel::<UnitResult>();
 
         let mut hits = 0u64;
         let mut misses = 0u64;
-        crossbeam::scope(|scope| -> Result<(), CampaignError> {
+        std::thread::scope(|scope| -> Result<(), CampaignError> {
             for _ in 0..threads {
-                let work_rx = work_rx.clone();
                 let result_tx = result_tx.clone();
+                let cursor = &cursor;
                 let units = &units;
                 let prepared = &prepared;
                 let sweeps = &self.campaign.sweeps;
                 let point_cache = self.point_cache;
                 let shard_cache = self.shard_cache;
                 let telemetry = self.telemetry;
-                scope.spawn(move |_| {
-                    while let Ok(ordinal) = work_rx.recv() {
-                        let (payload, hit, trace) = execute_unit::<S>(
-                            sweeps,
-                            prepared,
-                            &units[ordinal],
-                            point_cache,
-                            shard_cache,
-                            telemetry,
-                        );
-                        if result_tx.send((ordinal, payload, hit, trace)).is_err() {
-                            break;
-                        }
+                scope.spawn(move || loop {
+                    let ordinal = cursor.fetch_add(1, Ordering::Relaxed);
+                    if ordinal >= limit {
+                        break;
+                    }
+                    let (payload, hit, trace) = execute_unit::<S>(
+                        sweeps,
+                        prepared,
+                        &units[ordinal],
+                        point_cache,
+                        shard_cache,
+                        telemetry,
+                    );
+                    if result_tx.send((ordinal, payload, hit, trace)).is_err() {
+                        break;
                     }
                 });
             }
             drop(result_tx);
 
-            // On a sink failure, drain the work queue before propagating:
-            // workers stop after their in-flight unit instead of simulating
-            // the rest of the campaign into a dead sink.
+            // On a sink failure, move the cursor past the end before
+            // propagating: workers stop after their in-flight unit instead
+            // of simulating the rest of the campaign into a dead sink.
             let mut deliver = |record: &StreamRecord| {
-                sink.record(record).inspect_err(|_| while work_rx.try_recv().is_ok() {})
+                sink.record(record).inspect_err(|_| cursor.store(limit, Ordering::Relaxed))
             };
             let mut reorder: BTreeMap<usize, (Value, bool, Option<Value>)> = BTreeMap::new();
             let mut next = 0usize;
             for _ in 0..limit {
                 let (ordinal, payload, hit, trace) =
-                    result_rx.recv().expect("every enqueued unit reports a result");
+                    result_rx.recv().expect("every claimed unit reports a result");
                 reorder.insert(ordinal, (payload, hit, trace));
                 while let Some((payload, hit, trace)) = reorder.remove(&next) {
                     if hit {
@@ -698,8 +700,7 @@ impl<'a, S: Scenario> CampaignDriver<'a, S> {
             }
             sink.flush()?;
             Ok(())
-        })
-        .expect("campaign worker panicked")?;
+        })?;
 
         Ok(CampaignSummary {
             units_total: units.len(),
@@ -782,6 +783,8 @@ pub(crate) fn compute_unit_raw<S: Scenario>(
 mod tests {
     use super::*;
     use crate::sweep::SweepDriver;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Arc, Mutex};
 
     fn base() -> SimConfig {
         SimConfig::mirrored_disks(2000.0, 2000.0, 5.0, 5.0, Some(100.0), 1.0).unwrap()
@@ -1063,6 +1066,81 @@ mod tests {
         let summary = driver.run(&mut resumed).unwrap();
         assert_eq!(summary.cache_hits, 5);
         assert_eq!(resumed.to_jsonl(), full.to_jsonl(), "resume must reproduce the full stream");
+    }
+
+    /// A scenario whose shards after the first spin until `gate` opens,
+    /// logging every shard that runs.
+    #[derive(Debug, Clone)]
+    struct GatedScenario {
+        shards: u32,
+        gate: Arc<AtomicBool>,
+        ran: Arc<Mutex<Vec<u32>>>,
+    }
+
+    impl Scenario for GatedScenario {
+        type Outcome = u64;
+        type Prepared = GatedScenario;
+
+        fn name(&self) -> &str {
+            "gated"
+        }
+
+        fn prepare(&self) -> Result<Self, ModelError> {
+            Ok(self.clone())
+        }
+    }
+
+    impl PreparedScenario for GatedScenario {
+        type Outcome = u64;
+
+        fn shards(&self) -> u32 {
+            self.shards
+        }
+
+        fn key(&self, shard: u32) -> CacheKey {
+            CacheKey { digest: 0, seed: 0, shard }
+        }
+
+        fn run_shard(&self, shard: u32) -> u64 {
+            self.ran.lock().unwrap().push(shard);
+            while shard > 0 && !self.gate.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            u64::from(shard)
+        }
+    }
+
+    /// Fails on its first record, opening `gate` as it does.
+    struct FailingSink {
+        gate: Arc<AtomicBool>,
+    }
+
+    impl ReportSink for FailingSink {
+        fn record(&mut self, _record: &StreamRecord) -> std::io::Result<()> {
+            let err = std::io::Error::other("disk full");
+            self.gate.store(true, Ordering::SeqCst);
+            Err(err)
+        }
+    }
+
+    #[test]
+    fn failing_sink_stops_the_pool_after_the_units_in_flight() {
+        let threads = 2;
+        let gate = Arc::new(AtomicBool::new(false));
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let campaign = Campaign {
+            name: "gated".to_string(),
+            sweeps: Vec::new(),
+            scenarios: vec![GatedScenario { shards: 64, gate: gate.clone(), ran: ran.clone() }],
+        };
+        let err = CampaignDriver::new(&campaign).threads(threads).run(&mut FailingSink { gate });
+        assert!(matches!(err, Err(CampaignError::Io(_))));
+        // Unit 0 reached the sink while every worker held at most one gated
+        // unit (1..=threads); no unit was claimed once the sink had failed.
+        let mut ran = ran.lock().unwrap().clone();
+        ran.sort_unstable();
+        assert_eq!(ran[0], 0);
+        assert!(ran.iter().all(|&shard| shard as usize <= threads), "ran {ran:?}");
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Monte-Carlo estimation of MTTDL and mission loss probabilities.
 //!
-//! Trials are distributed over worker threads with `crossbeam::scope`; every
-//! trial gets its own deterministic RNG sub-stream, so the estimate for a
-//! given `(seed, trials)` pair is identical regardless of thread count.
+//! One driver serves every [`RareEventStrategy`]: root trial indices are
+//! split into contiguous ascending ranges, one per worker thread
+//! ([`parallel_ranges`]), every root draws from its own RNG sub-stream
+//! (`master.fork(index)`), and the workers' results are folded in
+//! root-index order. The estimate for a given `(seed, trials)` pair is
+//! therefore bit-identical for any thread count.
 
 use crate::config::{RareEventStrategy, SimConfig};
-use crate::rare::RareRunner;
+use crate::rare::{RareRunner, WeightedOutcome};
 use crate::trial::{TrialRunner, TrialScratch};
-use ltds_stochastic::{ConfidenceInterval, ProportionEstimate, SimRng, StreamingStats};
+use ltds_stochastic::{
+    parallel_ranges, ConfidenceInterval, ProportionEstimate, SimRng, StreamingStats,
+};
 use serde::{Deserialize, Serialize};
 
 /// Result of a Monte-Carlo run.
@@ -152,7 +157,8 @@ impl MonteCarlo {
         self
     }
 
-    /// Sets the number of worker threads.
+    /// Sets the number of worker threads. Changes wall-clock time only —
+    /// never results.
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "at least one thread is required");
         self.threads = threads;
@@ -162,88 +168,73 @@ impl MonteCarlo {
     /// Runs the trials and collects the estimate.
     ///
     /// Dispatches on [`SimConfig::strategy`]: `Vanilla` runs the historical
-    /// path (bit-identical random stream to every prior release);
-    /// `ImportanceSampling` and `Splitting` run the weighted rare-event
-    /// pipeline. All three return an unbiased [`MttdlEstimate`].
+    /// trial stream, folded into an unweighted mean (bit-identical to every
+    /// prior release); `ImportanceSampling` and `Splitting` run the
+    /// weighted rare-event roots. All three return an unbiased
+    /// [`MttdlEstimate`].
     pub fn run(&self) -> MttdlEstimate {
         match self.config.strategy {
-            RareEventStrategy::Vanilla => self.run_vanilla(),
-            _ => self.run_rare(),
+            RareEventStrategy::Vanilla => {
+                let runner = TrialRunner::new(self.config);
+                self.vanilla_estimate(self.tally(|index, rng, scratch, share| {
+                    let outcome = runner.run_with(rng, scratch);
+                    share.record(index, WeightedOutcome { outcome, weight: 1.0 });
+                }))
+            }
+            _ => {
+                let runner = RareRunner::new(self.config);
+                self.weighted_estimate(self.tally(|index, rng, scratch, share| {
+                    runner.run_root(rng, scratch, |leaf| share.record(index, leaf));
+                }))
+            }
         }
     }
 
-    /// The pre-acceleration Monte-Carlo loop, kept verbatim so the vanilla
-    /// random stream and results stay bit-exact.
-    fn run_vanilla(&self) -> MttdlEstimate {
-        let runner = TrialRunner::new(self.config);
+    /// Runs every root trial through `root` — which records the root's
+    /// leaves into the worker's tally — on the worker threads, and
+    /// concatenates the workers' tallies in root order.
+    fn tally(
+        &self,
+        root: impl Fn(u64, &mut SimRng, &mut TrialScratch, &mut Tally) + Sync,
+    ) -> Tally {
         let master = SimRng::seed_from(self.seed);
-        let threads = self.threads.min(self.trials as usize).max(1);
-
-        // Partition trial indices across threads; results are merged
-        // deterministically because each trial's RNG depends only on its index.
-        let chunk = self.trials / threads as u64;
-        let remainder = self.trials % threads as u64;
-
-        let mut per_thread: Vec<(StreamingStats, Vec<f64>, u64, u64, u64)> = Vec::new();
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut start = 0u64;
-            for t in 0..threads as u64 {
-                let count = chunk + if t < remainder { 1 } else { 0 };
-                let range = start..start + count;
-                start += count;
-                let master = master.clone();
-                handles.push(scope.spawn(move |_| {
-                    let mut stats = StreamingStats::new();
-                    let mut losses = Vec::new();
-                    let mut censored = 0u64;
-                    let mut faults = 0u64;
-                    let mut repairs = 0u64;
-                    // One scratch per worker: the per-trial loop is
-                    // allocation-free.
-                    let mut scratch = TrialScratch::new();
-                    for index in range {
-                        let mut rng = master.fork(index);
-                        let outcome = runner.run_with(&mut rng, &mut scratch);
-                        faults += outcome.faults;
-                        repairs += outcome.repairs;
-                        match outcome.loss_time_hours {
-                            Some(t) => {
-                                stats.push(t);
-                                losses.push(t);
-                            }
-                            None => censored += 1,
-                        }
-                    }
-                    (stats, losses, censored, faults, repairs)
-                }));
+        let shares = parallel_ranges(self.trials as usize, self.threads, |range| {
+            let mut share = Tally::default();
+            // One scratch per worker: the per-trial loop is allocation-free.
+            let mut scratch = TrialScratch::new();
+            for index in range {
+                let index = index as u64;
+                root(index, &mut master.fork(index), &mut scratch, &mut share);
             }
-            for h in handles {
-                per_thread.push(h.join().expect("simulation worker panicked"));
-            }
-        })
-        .expect("crossbeam scope failed");
+            share
+        });
+        let mut shares = shares.into_iter();
+        let mut total = shares.next().expect("at least one range");
+        for share in shares {
+            total.losses.extend(share.losses);
+            total.censored += share.censored;
+            total.faults += share.faults;
+            total.repairs += share.repairs;
+        }
+        total
+    }
 
+    /// The unweighted estimate: loss times folded into one Welford
+    /// accumulator in trial order.
+    fn vanilla_estimate(&self, tally: Tally) -> MttdlEstimate {
         let mut stats = StreamingStats::new();
-        let mut loss_times = Vec::new();
-        let mut censored = 0u64;
-        let mut faults = 0u64;
-        let mut repairs = 0u64;
-        for (s, losses, c, f, r) in per_thread {
-            stats.merge(&s);
-            loss_times.extend(losses);
-            censored += c;
-            faults += f;
-            repairs += r;
+        let mut loss_times: Vec<f64> = tally.losses.iter().map(|&(_, t, _)| t).collect();
+        for &t in &loss_times {
+            stats.push(t);
         }
         loss_times.sort_by(|a, b| a.partial_cmp(b).expect("loss times are finite"));
         let total = self.trials as f64;
         MttdlEstimate {
             completed_trials: stats.count(),
-            censored_trials: censored,
+            censored_trials: tally.censored,
             mttdl_hours: stats.confidence_interval(0.95),
-            mean_faults_per_trial: faults as f64 / total,
-            mean_repairs_per_trial: repairs as f64 / total,
+            mean_faults_per_trial: tally.faults as f64 / total,
+            mean_repairs_per_trial: tally.repairs as f64 / total,
             strategy: RareEventStrategy::Vanilla,
             root_trials: self.trials,
             effective_sample_size: stats.count() as f64,
@@ -254,72 +245,10 @@ impl MonteCarlo {
         }
     }
 
-    /// The weighted rare-event loop: each root trial index runs through
-    /// [`RareRunner::run_root`], producing one leaf (importance sampling)
-    /// or a clone tree of leaves (splitting), every leaf carrying its
-    /// likelihood-ratio × splitting weight.
-    ///
-    /// Determinism matches the vanilla loop: a root's leaf set depends only
-    /// on `(seed, root index)`, workers cover contiguous ascending index
-    /// ranges, and merged accumulations run in root order — so the estimate
-    /// is identical regardless of thread count.
-    fn run_rare(&self) -> MttdlEstimate {
-        let runner = RareRunner::new(self.config);
-        let master = SimRng::seed_from(self.seed);
-        let threads = self.threads.min(self.trials as usize).max(1);
-        let chunk = self.trials / threads as u64;
-        let remainder = self.trials % threads as u64;
-
-        type RareShare = (Vec<(u64, f64, f64)>, u64, u64, u64);
-        let mut per_thread: Vec<RareShare> = Vec::new();
-        crossbeam::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut start = 0u64;
-            for t in 0..threads as u64 {
-                let count = chunk + if t < remainder { 1 } else { 0 };
-                let range = start..start + count;
-                start += count;
-                let master = master.clone();
-                let runner = runner.clone();
-                handles.push(scope.spawn(move |_| {
-                    // (root index, loss time, weight) per loss leaf; roots
-                    // ascend and a root's leaves stay contiguous.
-                    let mut losses: Vec<(u64, f64, f64)> = Vec::new();
-                    let mut censored = 0u64;
-                    let mut faults = 0u64;
-                    let mut repairs = 0u64;
-                    let mut leaves = Vec::new();
-                    for index in range {
-                        leaves.clear();
-                        runner.run_root(&master.fork(index), &mut leaves);
-                        for leaf in &leaves {
-                            faults += leaf.outcome.faults;
-                            repairs += leaf.outcome.repairs;
-                            match leaf.outcome.loss_time_hours {
-                                Some(t) => losses.push((index, t, leaf.weight)),
-                                None => censored += 1,
-                            }
-                        }
-                    }
-                    (losses, censored, faults, repairs)
-                }));
-            }
-            for h in handles {
-                per_thread.push(h.join().expect("simulation worker panicked"));
-            }
-        })
-        .expect("crossbeam scope failed");
-
-        let mut records: Vec<(u64, f64, f64)> = Vec::new();
-        let mut censored = 0u64;
-        let mut faults = 0u64;
-        let mut repairs = 0u64;
-        for (losses, c, f, r) in per_thread {
-            records.extend(losses);
-            censored += c;
-            faults += f;
-            repairs += r;
-        }
+    /// The self-normalised likelihood-ratio estimate of an accelerated
+    /// run, with per-root loss mass for the variance-vs-vanilla diagnostic.
+    fn weighted_estimate(&self, tally: Tally) -> MttdlEstimate {
+        let mut records = tally.losses;
 
         // Per-root loss mass z_i for the variance-vs-vanilla diagnostic;
         // records arrive grouped by ascending root, so one linear scan in
@@ -378,10 +307,10 @@ impl MonteCarlo {
 
         MttdlEstimate {
             completed_trials: loss_times.len() as u64,
-            censored_trials: censored,
+            censored_trials: tally.censored,
             mttdl_hours,
-            mean_faults_per_trial: faults as f64 / n,
-            mean_repairs_per_trial: repairs as f64 / n,
+            mean_faults_per_trial: tally.faults as f64 / n,
+            mean_repairs_per_trial: tally.repairs as f64 / n,
             strategy: self.config.strategy,
             root_trials: self.trials,
             effective_sample_size,
@@ -389,6 +318,29 @@ impl MonteCarlo {
             loss_times,
             loss_weights,
             loss_roots,
+        }
+    }
+}
+
+/// Loss records and counters of a run of root trials, in root order.
+#[derive(Default)]
+struct Tally {
+    /// `(root index, loss time, weight)` per loss leaf; roots ascend and a
+    /// root's leaves stay contiguous.
+    losses: Vec<(u64, f64, f64)>,
+    censored: u64,
+    faults: u64,
+    repairs: u64,
+}
+
+impl Tally {
+    /// Records one leaf of root trial `root`.
+    fn record(&mut self, root: u64, leaf: WeightedOutcome) {
+        self.faults += leaf.outcome.faults;
+        self.repairs += leaf.outcome.repairs;
+        match leaf.outcome.loss_time_hours {
+            Some(t) => self.losses.push((root, t, leaf.weight)),
+            None => self.censored += 1,
         }
     }
 }
@@ -413,12 +365,33 @@ mod tests {
         assert!(est.mttdl_years() > 0.0);
     }
 
+    /// Asserts two estimates are bit-identical in every reported figure.
+    fn assert_same_bits(a: &MttdlEstimate, b: &MttdlEstimate, what: &str) {
+        assert_eq!(a.completed_trials, b.completed_trials, "{what}");
+        assert_eq!(a.censored_trials, b.censored_trials, "{what}");
+        for (x, y) in [
+            (a.mttdl_hours.estimate, b.mttdl_hours.estimate),
+            (a.mttdl_hours.lower, b.mttdl_hours.lower),
+            (a.mttdl_hours.upper, b.mttdl_hours.upper),
+            (a.effective_sample_size, b.effective_sample_size),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}");
+        }
+        for mission in [500.0, 5_000.0, 20_000.0] {
+            let (p, q) = (a.loss_probability_by(mission), b.loss_probability_by(mission));
+            for (x, y) in [(p.estimate, q.estimate), (p.lower, q.lower), (p.upper, q.upper)] {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}, mission {mission}");
+            }
+        }
+    }
+
     #[test]
     fn deterministic_given_seed_regardless_of_threads() {
         let a = MonteCarlo::new(fast_config()).trials(500).seed(9).threads(1).run();
-        let b = MonteCarlo::new(fast_config()).trials(500).seed(9).threads(4).run();
-        assert_eq!(a.completed_trials, b.completed_trials);
-        assert!((a.mttdl_hours.estimate - b.mttdl_hours.estimate).abs() < 1e-9);
+        for threads in [2, 3, 8] {
+            let b = MonteCarlo::new(fast_config()).trials(500).seed(9).threads(threads).run();
+            assert_same_bits(&a, &b, &format!("{threads} threads"));
+        }
         let c = MonteCarlo::new(fast_config()).trials(500).seed(10).threads(4).run();
         assert_ne!(a.mttdl_hours.estimate, c.mttdl_hours.estimate);
     }
@@ -493,19 +466,15 @@ mod tests {
         ] {
             let config = fast_config().with_max_hours(50_000.0).with_strategy(strategy);
             let a = MonteCarlo::new(config).trials(400).seed(21).threads(1).run();
-            let b = MonteCarlo::new(config).trials(400).seed(21).threads(4).run();
-            assert_eq!(a.completed_trials, b.completed_trials, "{strategy:?}");
-            assert_eq!(
-                a.mttdl_hours.estimate.to_bits(),
-                b.mttdl_hours.estimate.to_bits(),
-                "{strategy:?}"
-            );
-            assert_eq!(
-                a.loss_probability_by(20_000.0).estimate.to_bits(),
-                b.loss_probability_by(20_000.0).estimate.to_bits(),
-                "{strategy:?}"
-            );
-            assert_eq!(a.effective_sample_size.to_bits(), b.effective_sample_size.to_bits());
+            for threads in [2, 3, 8] {
+                let b = MonteCarlo::new(config).trials(400).seed(21).threads(threads).run();
+                assert_same_bits(&a, &b, &format!("{strategy:?}, {threads} threads"));
+                assert_eq!(
+                    a.variance_ratio_vs_vanilla.map(f64::to_bits),
+                    b.variance_ratio_vs_vanilla.map(f64::to_bits),
+                    "{strategy:?}, {threads} threads"
+                );
+            }
         }
     }
 

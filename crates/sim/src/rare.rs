@@ -3,25 +3,28 @@
 //!
 //! Well-protected configurations censor nearly every vanilla trial, so the
 //! loss-probability estimate is starved of loss observations. This module
-//! runs the *same* stochastic system as [`crate::trial::TrialRunner`] —
-//! identical state layout, event ordering and repair pricing — but under a
-//! change of measure that concentrates simulation effort on loss paths
-//! while keeping the estimator unbiased:
+//! runs the *same* stochastic system through the *same* event loop as
+//! [`crate::trial::TrialRunner`] — identical state layout, event ordering
+//! and repair pricing — but under a change of measure that concentrates
+//! simulation effort on loss paths while keeping the estimator unbiased.
+//! It only resolves the strategy, keeps the splitting clone stack and
+//! assigns leaf weights:
 //!
-//! * **Importance sampling** draws every fault race from a
-//!   [`BiasedFaultRace`] whose rates are inflated by `tilt`, and accumulates
-//!   the per-draw log-likelihood ratio. A path that ends in loss is counted
-//!   with weight `exp(Σ llr)`, which exactly cancels the tilt in
-//!   expectation. With `tilt = 1` the draw sequence is bit-identical to the
-//!   vanilla runner.
-//! * **Multilevel splitting** keeps the nominal dynamics but multiplies
-//!   promising paths: the first time a path climbs to one of the last
-//!   `levels` fault counts below the loss threshold it is *replaced* by
-//!   `offspring` clones at `1/offspring` of its weight, each redrawing the
-//!   intact replicas' pending fault times from the split instant (exact by
-//!   memorylessness — the same argument the α-resample in
-//!   [`crate::trial`] relies on). Total weight is conserved: the leaf
-//!   weights below one root always sum to 1.
+//! * **Importance sampling** runs the loop over a [`BiasedFaultRace`]
+//!   whose rates are inflated by `tilt`, which accumulates the per-draw
+//!   log-likelihood ratio. A path that ends in loss is counted with weight
+//!   `exp(Σ llr)`, which exactly cancels the tilt in expectation. With
+//!   `tilt = 1` the draw sequence is bit-identical to the vanilla runner.
+//! * **Multilevel splitting** keeps the nominal dynamics (the nominal
+//!   [`ltds_stochastic::FaultRace`]: a unit tilt would draw the same
+//!   numbers and add only `0.0` increments) but multiplies promising
+//!   paths: the first time a path climbs to one of the last `levels` fault
+//!   counts below the loss threshold it is *replaced* by `offspring` clones
+//!   at `1/offspring` of its weight, each redrawing the intact replicas'
+//!   pending fault times from the split instant (exact by memorylessness —
+//!   the same argument the α-resample in [`crate::trial`] relies on).
+//!   Total weight is conserved: the leaf weights below one root always sum
+//!   to 1.
 //!
 //! The initial path of a root trial consumes the root stream itself —
 //! exactly the stream the vanilla runner would consume for that trial
@@ -30,9 +33,9 @@
 //! of thread count and traversal order.
 
 use crate::config::{RareEventStrategy, SimConfig};
-use crate::trial::{TrialOutcome, TrialRunner};
-use ltds_core::fault::FaultClass;
+use crate::trial::{Races, TrialOutcome, TrialRunner, TrialScratch};
 use ltds_stochastic::{BiasedFaultRace, SimRng};
+use ltds_telemetry::NoTelemetry;
 
 /// A trial outcome together with its likelihood-ratio (or splitting)
 /// weight. Vanilla trials have weight exactly 1.
@@ -46,54 +49,26 @@ pub struct WeightedOutcome {
     pub weight: f64,
 }
 
-/// How one accelerated path ended.
-enum PathEnd {
-    /// Data loss at the given time, caused by the given fault class.
-    Loss(f64, FaultClass),
-    /// Hit the time cap with data intact.
-    Censored,
-    /// First arrival at the next splitting threshold; the path state is
-    /// frozen at the triggering fault and must be replaced by clones.
-    Split,
-}
-
-/// One in-flight path: the full replica state plus the accumulated
-/// log-likelihood ratio and splitting weight. Cloned at split points.
-#[derive(Debug, Clone)]
-struct Path {
-    rng: SimRng,
-    next_time: Vec<f64>,
-    class: Vec<FaultClass>,
-    faulty: Vec<bool>,
-    faulty_count: usize,
-    faults: u64,
-    repairs: u64,
-    /// Log-likelihood ratio of the nominal measure against the tilted one,
-    /// summed over every fault-race draw this path has consumed.
-    llr: f64,
-    /// Splitting weight: `1/offspring` per threshold crossed.
-    weight: f64,
-    /// Number of splitting thresholds already crossed.
-    level: usize,
-    /// Simulation clock, needed to restart clones at the split instant.
-    now: f64,
+/// A resolved accelerated strategy.
+#[derive(Debug, Clone, Copy)]
+enum Plan {
+    /// Every fault race drawn at the tilted rates.
+    Importance(Races<BiasedFaultRace>),
+    /// Nominal draws; split at the last `levels` fault counts below the
+    /// loss threshold (clamped to `loss_threshold − 1`).
+    Splitting { levels: usize, offspring: u32 },
 }
 
 /// Runs accelerated trials for one configuration.
 ///
 /// Construction resolves the strategy once: importance sampling prices both
 /// correlation regimes through [`BiasedFaultRace`]s at the configured tilt;
-/// splitting uses unit tilt (so `llr` stays 0) and an arithmetic ladder of
-/// fault-count thresholds ending just below the loss threshold.
+/// splitting uses the nominal race and an arithmetic ladder of fault-count
+/// thresholds ending just below the loss threshold.
 #[derive(Debug, Clone)]
 pub struct RareRunner {
     runner: TrialRunner,
-    race_normal: BiasedFaultRace,
-    race_accel: BiasedFaultRace,
-    /// Effective number of splitting levels (clamped to `loss_threshold − 1`;
-    /// 0 for importance sampling).
-    levels: usize,
-    offspring: u32,
+    plan: Plan,
 }
 
 impl RareRunner {
@@ -104,27 +79,24 @@ impl RareRunner {
     /// If the strategy is `Vanilla` — callers dispatch that to the plain
     /// [`TrialRunner`] to preserve the historical random stream.
     pub fn new(config: SimConfig) -> Self {
-        let (tilt, levels, offspring) = match config.strategy {
+        let plan = match config.strategy {
             RareEventStrategy::Vanilla => {
                 panic!("RareRunner requires an accelerated strategy; Vanilla uses TrialRunner")
             }
-            RareEventStrategy::ImportanceSampling { tilt } => (tilt, 0, 1),
+            RareEventStrategy::ImportanceSampling { tilt } => {
+                Plan::Importance(Races::new(&config, |mv, ml| {
+                    BiasedFaultRace::new(mv, ml, tilt).with_draw(config.draw)
+                }))
+            }
             RareEventStrategy::Splitting { levels, offspring } => {
                 let usable = config.loss_threshold().saturating_sub(1);
-                (1.0, (levels as usize).min(usable), offspring.max(1))
+                Plan::Splitting {
+                    levels: (levels as usize).min(usable),
+                    offspring: offspring.max(1),
+                }
             }
         };
-        let inv_alpha = 1.0 / config.alpha;
-        let race_normal =
-            BiasedFaultRace::new(config.mttf_visible_hours, config.mttf_latent_hours, tilt)
-                .with_draw(config.draw);
-        let race_accel = BiasedFaultRace::new(
-            config.mttf_visible_hours / inv_alpha,
-            config.mttf_latent_hours / inv_alpha,
-            tilt,
-        )
-        .with_draw(config.draw);
-        Self { runner: TrialRunner::new(config), race_normal, race_accel, levels, offspring }
+        Self { runner: TrialRunner::new(config), plan }
     }
 
     /// The configuration being simulated.
@@ -135,192 +107,77 @@ impl RareRunner {
     /// Number of leaf outcomes one root trial can produce (1 for importance
     /// sampling; up to `offspring^levels` for splitting).
     pub fn max_leaves(&self) -> u64 {
-        (self.offspring as u64).saturating_pow(self.levels as u32)
-    }
-
-    /// Draws the next fault `(delay, class)` for one replica and adds the
-    /// draw's log-likelihood-ratio increment to `llr`. Mirrors
-    /// `TrialRunner::sample_next_fault` exactly (same race resolution, same
-    /// RNG consumption) so unit tilt reproduces the vanilla stream.
-    #[inline]
-    fn sample_fault(&self, rng: &mut SimRng, accel: bool, llr: &mut f64) -> (f64, FaultClass) {
-        let race = if accel { &self.race_accel } else { &self.race_normal };
-        let (delay, visible, inc) = race.sample(rng);
-        *llr += inc;
-        (delay, if visible { FaultClass::Visible } else { FaultClass::Latent })
-    }
-
-    /// Fault count at which a path on `level` splits next.
-    #[inline]
-    fn split_threshold(&self, level: usize) -> usize {
-        self.config().loss_threshold() - self.levels + level
-    }
-
-    /// Starts a fresh path at time zero: every replica intact with its
-    /// first fault drawn at the nominal rate, exactly as the vanilla
-    /// runner's prologue does.
-    fn init_path(&self, mut rng: SimRng) -> Path {
-        let n = self.config().replicas;
-        let mut llr = 0.0;
-        let mut next_time = Vec::with_capacity(n);
-        let mut class = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (delay, c) = self.sample_fault(&mut rng, false, &mut llr);
-            next_time.push(delay);
-            class.push(c);
-        }
-        Path {
-            rng,
-            next_time,
-            class,
-            faulty: vec![false; n],
-            faulty_count: 0,
-            faults: 0,
-            repairs: 0,
-            llr,
-            weight: 1.0,
-            level: 0,
-            now: 0.0,
-        }
-    }
-
-    /// Advances one path until loss, censoring, or (for splitting) the next
-    /// threshold crossing. The event loop is a weight-tracking transcription
-    /// of `TrialRunner::run_probed`: same argmin, same censor test, same
-    /// repair pricing, same resample points, in the same order.
-    fn advance(&self, path: &mut Path) -> PathEnd {
-        let config = self.config();
-        let n = config.replicas;
-        let loss_threshold = config.loss_threshold();
-        loop {
-            let mut best_time = f64::INFINITY;
-            let mut best_replica = usize::MAX;
-            for (i, &t) in path.next_time.iter().enumerate() {
-                if t < best_time {
-                    best_time = t;
-                    best_replica = i;
-                }
-            }
-            if best_time > config.max_hours || best_replica == usize::MAX {
-                return PathEnd::Censored;
-            }
-            let now = best_time;
-            path.now = now;
-            let faulty_before = path.faulty_count;
-
-            if !path.faulty[best_replica] {
-                let fault_class = path.class[best_replica];
-                path.faulty[best_replica] = true;
-                path.next_time[best_replica] =
-                    self.runner.repair_completion(now, fault_class, &mut path.rng);
-                path.faulty_count += 1;
-                path.faults += 1;
-                if path.faulty_count >= loss_threshold {
-                    return PathEnd::Loss(now, fault_class);
-                }
-                // First climb to the next splitting threshold: freeze here;
-                // the caller replaces this path with clones, so the
-                // α-resample below would be dead draws and is skipped.
-                if path.level < self.levels && path.faulty_count == self.split_threshold(path.level)
-                {
-                    return PathEnd::Split;
-                }
-                if faulty_before == 0 && config.alpha < 1.0 {
-                    for i in 0..n {
-                        if !path.faulty[i] {
-                            let (d, c) = self.sample_fault(&mut path.rng, true, &mut path.llr);
-                            path.next_time[i] = now + d;
-                            path.class[i] = c;
-                        }
-                    }
-                }
-            } else {
-                path.faulty[best_replica] = false;
-                path.faulty_count -= 1;
-                path.repairs += 1;
-                let accel = path.faulty_count > 0;
-                let (d, c) = self.sample_fault(&mut path.rng, accel, &mut path.llr);
-                path.next_time[best_replica] = now + d;
-                path.class[best_replica] = c;
-                if path.faulty_count == 0 && config.alpha < 1.0 {
-                    for i in 0..n {
-                        if i != best_replica && !path.faulty[i] {
-                            let (d, c) = self.sample_fault(&mut path.rng, false, &mut path.llr);
-                            path.next_time[i] = now + d;
-                            path.class[i] = c;
-                        }
-                    }
-                }
+        match self.plan {
+            Plan::Importance(_) => 1,
+            Plan::Splitting { levels, offspring } => {
+                u64::from(offspring).saturating_pow(levels as u32)
             }
         }
     }
 
-    /// Converts a finished path into a weighted outcome.
-    fn seal(path: &Path, end: &PathEnd) -> WeightedOutcome {
-        let weight = path.weight * path.llr.exp();
-        let outcome = match *end {
-            PathEnd::Loss(t, class) => TrialOutcome {
-                loss_time_hours: Some(t),
-                faults: path.faults,
-                repairs: path.repairs,
-                fatal_fault: Some(class),
-            },
-            PathEnd::Censored => TrialOutcome {
-                loss_time_hours: None,
-                faults: path.faults,
-                repairs: path.repairs,
-                fatal_fault: None,
-            },
-            PathEnd::Split => unreachable!("split paths are cloned, not sealed"),
-        };
-        WeightedOutcome { outcome, weight }
-    }
-
-    /// Runs one root trial, appending every leaf outcome to `sink`.
+    /// Runs one root trial, passing every leaf outcome to `leaf`.
     ///
     /// `root_rng` should be the Monte-Carlo master stream forked by the root
     /// trial index. The initial path consumes a copy of it (the exact
     /// stream the vanilla runner would get) and every split clone forks
     /// from it by spawn order, so the leaf set is a pure function of
-    /// `(seed, root index)`.
+    /// `(seed, root index)`. Importance-sampled roots run entirely in
+    /// `scratch`, allocation-free once it has grown.
     ///
     /// Importance sampling produces exactly one leaf; splitting produces at
     /// most [`RareRunner::max_leaves`], and the leaf weights of one root sum
-    /// to 1 when the tilt is 1.
-    pub fn run_root(&self, root_rng: &SimRng, sink: &mut Vec<WeightedOutcome>) {
-        let n = self.config().replicas;
-        // The initial path continues the root stream itself, so unit-tilt
-        // importance sampling consumes bit-for-bit the stream the vanilla
-        // runner would; only split clones fork, by spawn order.
+    /// to 1.
+    pub fn run_root(
+        &self,
+        root_rng: &SimRng,
+        scratch: &mut TrialScratch,
+        mut leaf: impl FnMut(WeightedOutcome),
+    ) {
+        match self.plan {
+            Plan::Importance(races) => {
+                let outcome = self.runner.run_measured(
+                    &races,
+                    &mut root_rng.clone(),
+                    scratch,
+                    &mut NoTelemetry,
+                );
+                leaf(WeightedOutcome { outcome, weight: scratch.llr().exp() });
+            }
+            Plan::Splitting { levels, offspring } => {
+                self.split_root(root_rng, levels, offspring, leaf)
+            }
+        }
+    }
+
+    /// The splitting clone stack below one root: each entry is a frozen
+    /// path, its stream, the thresholds it has crossed and its weight.
+    fn split_root(
+        &self,
+        root_rng: &SimRng,
+        levels: usize,
+        offspring: u32,
+        mut leaf: impl FnMut(WeightedOutcome),
+    ) {
+        let races = self.runner.races();
+        let loss_threshold = self.config().loss_threshold();
+        let mut rng = root_rng.clone();
+        let mut root = TrialScratch::new();
+        self.runner.start(races, &mut rng, &mut root);
         let mut spawn = 1u64;
-        let mut stack = vec![self.init_path(root_rng.clone())];
-        while let Some(mut path) = stack.pop() {
-            match self.advance(&mut path) {
-                end @ (PathEnd::Loss(..) | PathEnd::Censored) => {
-                    sink.push(Self::seal(&path, &end));
-                }
-                PathEnd::Split => {
-                    path.level += 1;
-                    path.weight /= f64::from(self.offspring);
-                    for _ in 0..self.offspring {
+        let mut stack = vec![(root, rng, 0usize, 1.0f64)];
+        while let Some((mut path, mut rng, level, weight)) = stack.pop() {
+            let split_at =
+                if level < levels { loss_threshold - levels + level } else { usize::MAX };
+            match self.runner.advance(races, &mut rng, &mut path, split_at, &mut NoTelemetry) {
+                Some(outcome) => leaf(WeightedOutcome { outcome, weight }),
+                None => {
+                    let weight = weight / f64::from(offspring);
+                    for _ in 0..offspring {
                         let mut clone = path.clone();
-                        clone.rng = root_rng.fork(spawn);
+                        let mut rng = root_rng.fork(spawn);
                         spawn += 1;
-                        // Redraw the intact replicas' pending faults from the
-                        // split instant at the in-fault (accelerated) rate —
-                        // exact by memorylessness, and the whole point: the
-                        // siblings must resolve the race to the next fault
-                        // independently. Faulty replicas keep their pending
-                        // repair completions; those are part of the state.
-                        for i in 0..n {
-                            if !clone.faulty[i] {
-                                let (d, c) =
-                                    self.sample_fault(&mut clone.rng, true, &mut clone.llr);
-                                clone.next_time[i] = clone.now + d;
-                                clone.class[i] = c;
-                            }
-                        }
-                        stack.push(clone);
+                        clone.redraw_intact(races, &mut rng);
+                        stack.push((clone, rng, level + 1, weight));
                     }
                 }
             }
@@ -331,7 +188,6 @@ impl RareRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trial::TrialScratch;
 
     fn fragile(alpha: f64) -> SimConfig {
         SimConfig::mirrored_disks(1000.0, 5000.0, 10.0, 10.0, Some(100.0), alpha).unwrap()
@@ -348,7 +204,7 @@ mod tests {
             for root in 0..40u64 {
                 let root_rng = SimRng::seed_from(9000).fork(root);
                 let mut leaves = Vec::new();
-                rare.run_root(&root_rng, &mut leaves);
+                rare.run_root(&root_rng, &mut scratch, |l| leaves.push(l));
                 assert_eq!(leaves.len(), 1);
                 // The accelerated path consumes the root stream itself, so
                 // the vanilla comparison runs on an identical copy of it.
@@ -365,10 +221,11 @@ mod tests {
             .with_max_hours(2000.0)
             .with_strategy(RareEventStrategy::Splitting { levels: 1, offspring: 8 });
         let rare = RareRunner::new(config);
+        let mut scratch = TrialScratch::new();
         let mut leaves = Vec::new();
         for root in 0..30u64 {
             leaves.clear();
-            rare.run_root(&SimRng::seed_from(77).fork(root), &mut leaves);
+            rare.run_root(&SimRng::seed_from(77).fork(root), &mut scratch, |l| leaves.push(l));
             assert!(!leaves.is_empty());
             assert!(leaves.len() <= rare.max_leaves() as usize);
             let total: f64 = leaves.iter().map(|l| l.weight).sum();
@@ -386,10 +243,11 @@ mod tests {
             .with_strategy(RareEventStrategy::Splitting { levels: 1, offspring: 4 });
         let rare = RareRunner::new(config);
         let root_rng = SimRng::seed_from(123).fork(7);
+        let mut scratch = TrialScratch::new();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        rare.run_root(&root_rng, &mut a);
-        rare.run_root(&root_rng, &mut b);
+        rare.run_root(&root_rng, &mut scratch, |l| a.push(l));
+        rare.run_root(&root_rng, &mut scratch, |l| b.push(l));
         assert_eq!(a, b);
     }
 
@@ -401,9 +259,10 @@ mod tests {
             .with_max_hours(20_000.0)
             .with_strategy(RareEventStrategy::ImportanceSampling { tilt: 4.0 });
         let rare = RareRunner::new(config);
+        let mut scratch = TrialScratch::new();
         let mut leaves = Vec::new();
         for root in 0..200u64 {
-            rare.run_root(&SimRng::seed_from(5).fork(root), &mut leaves);
+            rare.run_root(&SimRng::seed_from(5).fork(root), &mut scratch, |l| leaves.push(l));
         }
         let losses: Vec<_> = leaves.iter().filter(|l| l.outcome.lost_data()).collect();
         assert!(losses.len() > 150, "the tilt should make losses common");

@@ -80,19 +80,23 @@ pub struct SweepDriver<'a> {
 }
 
 /// Everything that determines a grid point's estimate, digested together
-/// into the point's cache identity. The thread override is included
-/// because different thread counts merge per-worker statistics in a
-/// different order (bit-level divergence), so a cache entry only ever
-/// answers for the execution shape that produced it.
-///
-/// Shared with `crate::campaign`, whose single-threaded grid-point work
-/// units digest `threads: Some(1)` — so a campaign and a
-/// `SweepDriver::threads(1)` sweep address the same cache entries.
+/// into the point's cache identity. Estimates do not depend on the worker
+/// count, so every request digests `threads: Some(1)` — the encoding
+/// campaign points and earlier single-threaded sweeps were cached under —
+/// and a campaign and a `SweepDriver` sweep at any thread count address the
+/// same cache entries.
 #[derive(Serialize)]
 pub(crate) struct PointRequest {
-    pub(crate) config: SimConfig,
-    pub(crate) trials: u64,
-    pub(crate) threads: Option<usize>,
+    config: SimConfig,
+    trials: u64,
+    threads: Option<usize>,
+}
+
+impl PointRequest {
+    /// The request for `trials` trials of `config`.
+    pub(crate) fn new(config: SimConfig, trials: u64) -> Self {
+        Self { config, trials, threads: Some(1) }
+    }
 }
 
 impl<'a> SweepDriver<'a> {
@@ -102,10 +106,8 @@ impl<'a> SweepDriver<'a> {
         Self { base, trials, seed, threads: None, cache: None }
     }
 
-    /// Overrides the worker-thread count for every grid point. Runs with
-    /// the *same* thread count are bit-identical; across different thread
-    /// counts the per-worker statistics merge in a different order, so
-    /// estimates agree only up to floating-point merge rounding.
+    /// Overrides the worker-thread count for every grid point. Changes
+    /// wall-clock time only — estimates are bit-identical for any count.
     pub fn threads(mut self, threads: usize) -> Self {
         assert!(threads > 0, "at least one thread is required");
         self.threads = Some(threads);
@@ -113,7 +115,7 @@ impl<'a> SweepDriver<'a> {
     }
 
     /// Memoises grid points through `cache`: a point whose
-    /// `(config, trials, threads)` digest and derived seed are already
+    /// `(config, trials)` digest and derived seed are already
     /// cached is returned bit-identically instead of re-simulated, so a
     /// superset grid costs only its new points. Sweeps sharing a cache may
     /// run concurrently (the cache is thread-safe).
@@ -126,8 +128,8 @@ impl<'a> SweepDriver<'a> {
     fn estimate(&self, config: SimConfig, i: usize) -> MttdlEstimate {
         let seed = self.seed.wrapping_add(i as u64);
         let key = self.cache.map(|cache| {
-            let request = PointRequest { config, trials: self.trials, threads: self.threads };
-            let key = CacheKey { digest: request.config_digest(), seed, shard: 0 };
+            let digest = PointRequest::new(config, self.trials).config_digest();
+            let key = CacheKey { digest, seed, shard: 0 };
             (cache, key)
         });
         if let Some((cache, key)) = key {
@@ -311,17 +313,20 @@ mod tests {
     #[test]
     fn thread_override_does_not_change_results() {
         let b = base();
-        // Same thread count → bit-identical; different thread counts agree
-        // to merge rounding (the per-thread Welford partitions differ).
-        let forced_a = SweepDriver::new(&b, 400, 7).threads(3).scrub_period(&[50.0, 500.0]);
-        let forced_b = SweepDriver::new(&b, 400, 7).threads(3).scrub_period(&[50.0, 500.0]);
-        for (a, c) in forced_a.unwrap().iter().zip(&forced_b.unwrap()) {
-            assert_eq!(a.mttdl_hours.to_bits(), c.mttdl_hours.to_bits());
-        }
-        let default = SweepDriver::new(&b, 400, 7).scrub_period(&[50.0, 500.0]).unwrap();
-        let forced = SweepDriver::new(&b, 400, 7).threads(3).scrub_period(&[50.0, 500.0]).unwrap();
-        for (d, f) in default.iter().zip(&forced) {
-            assert!((d.mttdl_hours - f.mttdl_hours).abs() < 1e-6 * d.mttdl_hours.abs());
+        let grid = [50.0, 500.0];
+        let default = SweepDriver::new(&b, 400, 7).scrub_period(&grid).unwrap();
+        for threads in [1, 2, 3, 8] {
+            let forced = SweepDriver::new(&b, 400, 7).threads(threads).scrub_period(&grid).unwrap();
+            for (d, f) in default.iter().zip(&forced) {
+                for (x, y) in [
+                    (d.mttdl_hours, f.mttdl_hours),
+                    (d.ci_half_width, f.ci_half_width),
+                    (d.censoring_fraction, f.censoring_fraction),
+                    (d.effective_sample_size, f.effective_sample_size),
+                ] {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads at x = {}", d.x);
+                }
+            }
         }
     }
 
@@ -358,16 +363,18 @@ mod tests {
     }
 
     #[test]
-    fn cache_distinguishes_trials_threads_and_seed() {
+    fn cache_keys_trials_and_seed_but_not_threads() {
         let b = base();
         let cache = crate::cache::SweepCache::new();
         let grid = [50.0];
         SweepDriver::new(&b, 200, 1).threads(1).cache(&cache).scrub_period(&grid).unwrap();
         SweepDriver::new(&b, 300, 1).threads(1).cache(&cache).scrub_period(&grid).unwrap();
-        SweepDriver::new(&b, 200, 1).threads(2).cache(&cache).scrub_period(&grid).unwrap();
         SweepDriver::new(&b, 200, 9).threads(1).cache(&cache).scrub_period(&grid).unwrap();
-        assert_eq!(cache.len(), 4, "trials, threads and seed must all key separately");
+        assert_eq!(cache.len(), 3, "trials and seed must key separately");
         assert_eq!(cache.hits(), 0);
+        SweepDriver::new(&b, 200, 1).threads(2).cache(&cache).scrub_period(&grid).unwrap();
+        assert_eq!(cache.len(), 3, "the thread count must not key separately");
+        assert_eq!(cache.hits(), 1);
     }
 
     #[test]

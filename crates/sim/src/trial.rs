@@ -11,7 +11,7 @@
 
 use crate::config::{DetectionModel, SimConfig};
 use ltds_core::fault::FaultClass;
-use ltds_stochastic::{FaultRace, SimRng};
+use ltds_stochastic::{BiasedFaultRace, FaultRace, SimRng};
 use ltds_telemetry::{NoTelemetry, Probe, ProbeEvent};
 use serde::{Deserialize, Serialize};
 
@@ -36,19 +36,29 @@ impl TrialOutcome {
     }
 }
 
-/// Reusable per-trial buffers: a Monte-Carlo worker allocates one scratch
+/// Reusable per-trial state: a Monte-Carlo worker allocates one scratch
 /// and runs every trial through it, making the per-trial hot path
 /// allocation-free.
 ///
 /// State is kept flat — one pending-event time per replica (next fault if
 /// intact, repair completion if faulty), a faulty flag and the pending
 /// fault's class — so the event loop's "find the earliest event" scan is a
-/// pure float argmin with no enum matching.
+/// pure float argmin with no enum matching. The scalars carry a path
+/// across a splitting threshold (`crate::rare` clones the whole state).
 #[derive(Debug, Clone, Default)]
 pub struct TrialScratch {
     next_time: Vec<f64>,
     class: Vec<FaultClass>,
     faulty: Vec<bool>,
+    faulty_count: usize,
+    faults: u64,
+    repairs: u64,
+    /// Log-likelihood ratio of the nominal measure against the one the
+    /// path was drawn under, summed over its fault-race draws.
+    llr: f64,
+    /// Simulation clock at the path's last event; split clones restart
+    /// from it.
+    now: f64,
 }
 
 impl TrialScratch {
@@ -56,17 +66,119 @@ impl TrialScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The summed log-likelihood ratio of the path last run in this
+    /// scratch: `0.0` under the nominal measure.
+    pub(crate) fn llr(&self) -> f64 {
+        self.llr
+    }
+
+    /// Redraws the intact replicas' pending faults from the instant of the
+    /// split that froze this path, so sibling clones resolve the race to
+    /// the next fault independently.
+    pub(crate) fn redraw_intact<R: Race>(&mut self, races: &Races<R>, rng: &mut SimRng) {
+        let Self { next_time, class, faulty, llr, now, .. } = self;
+        races.redraw_intact(rng, *now, faulty, next_time, class, llr);
+    }
+}
+
+/// The measure a trial draws its fault races under, statically dispatched
+/// like [`Probe`]: [`FaultRace`] draws at the nominal rates and leaves the
+/// log-likelihood ratio untouched, so the nominal loop carries no weight
+/// arithmetic; [`BiasedFaultRace`] draws at tilted rates and adds each
+/// draw's increment (importance sampling, `crate::rare`).
+pub(crate) trait Race: Copy {
+    /// Draws one replica's next fault `(delay, class)`, adding the draw's
+    /// log-likelihood-ratio increment to `llr`.
+    fn draw(&self, rng: &mut SimRng, llr: &mut f64) -> (f64, FaultClass);
+}
+
+fn class_of(visible: bool) -> FaultClass {
+    if visible {
+        FaultClass::Visible
+    } else {
+        FaultClass::Latent
+    }
+}
+
+impl Race for FaultRace {
+    #[inline]
+    fn draw(&self, rng: &mut SimRng, _llr: &mut f64) -> (f64, FaultClass) {
+        let (delay, visible) = self.sample(rng);
+        (delay, class_of(visible))
+    }
+}
+
+impl Race for BiasedFaultRace {
+    #[inline]
+    fn draw(&self, rng: &mut SimRng, llr: &mut f64) -> (f64, FaultClass) {
+        let (delay, visible, increment) = self.sample(rng);
+        *llr += increment;
+        (delay, class_of(visible))
+    }
+}
+
+/// A visible-vs-latent fault race resolved once at both correlation
+/// regimes' rates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Races<R> {
+    /// The baseline rates, while every replica is intact.
+    normal: R,
+    /// The `α`-accelerated rates, while any replica is faulty (identical
+    /// to `normal` when `α = 1`).
+    accel: R,
+}
+
+impl<R: Race> Races<R> {
+    /// Resolves `race(mttf_visible, mttf_latent)` at the config's baseline
+    /// and `α`-accelerated means.
+    pub(crate) fn new(config: &SimConfig, race: impl Fn(f64, f64) -> R) -> Self {
+        let inv_alpha = 1.0 / config.alpha;
+        Self {
+            normal: race(config.mttf_visible_hours, config.mttf_latent_hours),
+            accel: race(
+                config.mttf_visible_hours / inv_alpha,
+                config.mttf_latent_hours / inv_alpha,
+            ),
+        }
+    }
+
+    #[inline]
+    fn draw(&self, rng: &mut SimRng, accel: bool, llr: &mut f64) -> (f64, FaultClass) {
+        if accel { &self.accel } else { &self.normal }.draw(rng, llr)
+    }
+
+    /// Redraws every intact replica's pending fault from `now` at the
+    /// accelerated rates — exact for exponential inter-arrival times by
+    /// memorylessness. Faulty replicas keep their pending repair
+    /// completions.
+    #[inline]
+    fn redraw_intact(
+        &self,
+        rng: &mut SimRng,
+        now: f64,
+        faulty: &[bool],
+        next_time: &mut [f64],
+        class: &mut [FaultClass],
+        llr: &mut f64,
+    ) {
+        for i in 0..faulty.len() {
+            if !faulty[i] {
+                let (d, c) = self.draw(rng, true, llr);
+                next_time[i] = now + d;
+                class[i] = c;
+            }
+        }
+    }
 }
 
 /// Runs trials for one configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct TrialRunner {
     config: SimConfig,
-    /// Visible-vs-latent fault race at the baseline rates, resolved once.
-    race_normal: FaultRace,
-    /// The same race at the `α`-accelerated rates (identical to
-    /// `race_normal` when `α = 1`).
-    race_accel: FaultRace,
+    /// The nominal fault race, drawn through the config's
+    /// [`ltds_stochastic::DrawDiscipline`].
+    races: Races<FaultRace>,
 }
 
 impl TrialRunner {
@@ -74,15 +186,8 @@ impl TrialRunner {
     /// distribution parameters for both correlation regimes. The races draw
     /// through the config's [`ltds_stochastic::DrawDiscipline`].
     pub fn new(config: SimConfig) -> Self {
-        let inv_alpha = 1.0 / config.alpha;
-        let race_normal = FaultRace::new(config.mttf_visible_hours, config.mttf_latent_hours)
-            .with_draw(config.draw);
-        let race_accel = FaultRace::new(
-            config.mttf_visible_hours / inv_alpha,
-            config.mttf_latent_hours / inv_alpha,
-        )
-        .with_draw(config.draw);
-        Self { config, race_normal, race_accel }
+        let races = Races::new(&config, |mv, ml| FaultRace::new(mv, ml).with_draw(config.draw));
+        Self { config, races }
     }
 
     /// The configuration being simulated.
@@ -90,20 +195,14 @@ impl TrialRunner {
         &self.config
     }
 
-    /// Samples the time (from `now`) of a replica's next fault of either
-    /// class, returning `(delay, class)`. `accel` selects the
-    /// `α`-accelerated race (active while any replica is faulty).
-    #[inline]
-    fn sample_next_fault(&self, rng: &mut SimRng, accel: bool) -> (f64, FaultClass) {
-        let race = if accel { &self.race_accel } else { &self.race_normal };
-        let (delay, visible) = race.sample(rng);
-        (delay, if visible { FaultClass::Visible } else { FaultClass::Latent })
+    /// The nominal fault race, for paths that run at the nominal measure.
+    pub(crate) fn races(&self) -> &Races<FaultRace> {
+        &self.races
     }
 
     /// Time at which a fault occurring at `t` of the given class will have
-    /// been detected and repaired. Shared with the rare-event runner
-    /// (`crate::rare`), whose paths must price repairs identically.
-    pub(crate) fn repair_completion(&self, t: f64, class: FaultClass, rng: &mut SimRng) -> f64 {
+    /// been detected and repaired.
+    fn repair_completion(&self, t: f64, class: FaultClass, rng: &mut SimRng) -> f64 {
         match class {
             FaultClass::Visible => t + self.config.repair_visible_hours,
             FaultClass::Latent => {
@@ -147,28 +246,79 @@ impl TrialRunner {
         scratch: &mut TrialScratch,
         probe: &mut P,
     ) -> TrialOutcome {
+        self.run_measured(&self.races, rng, scratch, probe)
+    }
+
+    /// Runs a single trial under the measure `races`, leaving its summed
+    /// log-likelihood ratio in `scratch` ([`TrialScratch::llr`]).
+    #[inline]
+    pub(crate) fn run_measured<R: Race, P: Probe>(
+        &self,
+        races: &Races<R>,
+        rng: &mut SimRng,
+        scratch: &mut TrialScratch,
+        probe: &mut P,
+    ) -> TrialOutcome {
+        self.start(races, rng, scratch);
+        self.advance(races, rng, scratch, usize::MAX, probe)
+            .expect("a path without a split threshold never splits")
+    }
+
+    /// Starts a path at time zero: every replica intact, with its first
+    /// fault drawn at the baseline rates (the replica counts here are far
+    /// below the batch chunk size, so the scalar loop is the fast path).
+    #[inline]
+    pub(crate) fn start<R: Race>(
+        &self,
+        races: &Races<R>,
+        rng: &mut SimRng,
+        path: &mut TrialScratch,
+    ) {
+        let n = self.config.replicas;
+        let mut llr = 0.0;
+        path.next_time.clear();
+        path.class.clear();
+        for _ in 0..n {
+            let (delay, class) = races.draw(rng, false, &mut llr);
+            path.next_time.push(delay);
+            path.class.push(class);
+        }
+        path.llr = llr;
+        path.faulty.clear();
+        path.faulty.resize(n, false);
+        path.faulty_count = 0;
+        path.faults = 0;
+        path.repairs = 0;
+        path.now = 0.0;
+    }
+
+    /// Advances `path` to data loss or the time cap, returning the outcome
+    /// — or returns `None`, with the path frozen at the triggering fault,
+    /// the first time its faulty-replica count reaches `split_at` (a
+    /// splitting threshold; any value at or above the loss threshold never
+    /// triggers). The caller then replaces the path with clones, so the
+    /// `α`-resample that fault would have drawn is skipped.
+    // Inlined into each caller: as a call, its prologue and the state it
+    // passes cost short, mostly censored trials 10–15 % of their time.
+    #[inline(always)]
+    pub(crate) fn advance<R: Race, P: Probe>(
+        &self,
+        races: &Races<R>,
+        rng: &mut SimRng,
+        path: &mut TrialScratch,
+        split_at: usize,
+        probe: &mut P,
+    ) -> Option<TrialOutcome> {
         let n = self.config.replicas;
         let loss_threshold = self.config.loss_threshold();
-        // Every replica's first fault, drawn through the shared race (the
-        // replica counts here are far below the batch chunk size, so the
-        // scalar loop is the fast path).
-        scratch.next_time.clear();
-        scratch.class.clear();
-        for _ in 0..n {
-            let (delay, class) = self.sample_next_fault(rng, false);
-            scratch.next_time.push(delay);
-            scratch.class.push(class);
-        }
-        scratch.faulty.clear();
-        scratch.faulty.resize(n, false);
-        let next_time = &mut scratch.next_time;
-        let class = &mut scratch.class;
-        let faulty = &mut scratch.faulty;
-        let mut faulty_count = 0usize;
-        let mut faults = 0u64;
-        let mut repairs = 0u64;
+        let stop_at = split_at.min(loss_threshold);
+        let mut faulty_count = path.faulty_count;
+        let mut faults = path.faults;
+        let mut repairs = path.repairs;
+        let mut llr = path.llr;
+        let TrialScratch { next_time, class, faulty, .. } = path;
 
-        loop {
+        let (end, now) = loop {
             // Find the earliest pending event — a fault at an intact
             // replica or a repair completion at a faulty one; `next_time`
             // holds whichever applies, so this is a plain float argmin.
@@ -182,7 +332,9 @@ impl TrialRunner {
             }
 
             if best_time > self.config.max_hours || best_replica == usize::MAX {
-                return TrialOutcome { loss_time_hours: None, faults, repairs, fatal_fault: None };
+                let outcome =
+                    TrialOutcome { loss_time_hours: None, faults, repairs, fatal_fault: None };
+                break (Some(outcome), best_time);
             }
             let now = best_time;
             let faulty_before = faulty_count;
@@ -210,27 +362,29 @@ impl TrialRunner {
                         },
                     );
                 }
-                if faulty_count >= loss_threshold {
+                // One comparison covers both stops on the hot path: the
+                // count climbs by one, so reaching `stop_at` is reaching
+                // the split threshold or the loss threshold, whichever is
+                // lower.
+                if faulty_count >= stop_at {
+                    if faulty_count < loss_threshold {
+                        break (None, now);
+                    }
                     if P::ENABLED {
                         probe.loss(now, 0, now, fault_class);
                     }
-                    return TrialOutcome {
+                    let outcome = TrialOutcome {
                         loss_time_hours: Some(now),
                         faults,
                         repairs,
                         fatal_fault: Some(fault_class),
                     };
+                    break (Some(outcome), now);
                 }
                 // Correlation state may have changed: resample pending faults
                 // for the remaining intact replicas at the accelerated rate.
                 if faulty_before == 0 && self.config.alpha < 1.0 {
-                    for i in 0..n {
-                        if !faulty[i] {
-                            let (d, c) = self.sample_next_fault(rng, true);
-                            next_time[i] = now + d;
-                            class[i] = c;
-                        }
-                    }
+                    races.redraw_intact(rng, now, faulty, next_time, class, &mut llr);
                 }
             } else {
                 // Repair completes; replica returns to service with a fresh
@@ -254,20 +408,26 @@ impl TrialRunner {
                 }
                 // Sample the repaired replica's next fault, and if the system
                 // just became fault-free, de-accelerate the others.
-                let (d, c) = self.sample_next_fault(rng, faulty_count > 0);
+                let (d, c) = races.draw(rng, faulty_count > 0, &mut llr);
                 next_time[best_replica] = now + d;
                 class[best_replica] = c;
                 if faulty_count == 0 && self.config.alpha < 1.0 {
                     for i in 0..n {
                         if i != best_replica && !faulty[i] {
-                            let (d, c) = self.sample_next_fault(rng, false);
+                            let (d, c) = races.draw(rng, false, &mut llr);
                             next_time[i] = now + d;
                             class[i] = c;
                         }
                     }
                 }
             }
-        }
+        };
+        path.faulty_count = faulty_count;
+        path.faults = faults;
+        path.repairs = repairs;
+        path.llr = llr;
+        path.now = now;
+        end
     }
 }
 

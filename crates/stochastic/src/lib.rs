@@ -36,5 +36,5 @@ pub use distribution::{
 pub use estimators::{ConfidenceInterval, ProportionEstimate, StreamingStats, WeightedEstimator};
 pub use events::{EventStream, RenewalProcess};
 pub use histogram::Histogram;
-pub use parallelism::available_threads;
+pub use parallelism::{available_threads, parallel_ranges};
 pub use rng::SimRng;
