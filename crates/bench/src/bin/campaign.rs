@@ -24,44 +24,20 @@
 //!                           # were skipped at load
 //! ```
 //!
-//! # Fault-tolerant service mode
-//!
-//! `--serve DIR` runs the campaign as a [`ltds_sim::CampaignService`] over
-//! the spool directory `DIR` instead of the in-process pool: workers are
-//! separate `campaign --worker DIR` processes exchanging checksum-framed
-//! JSON lines through `DIR/workers/<id>/{in,out}.jsonl`. Worker crashes,
-//! lost heartbeats and torn frames are absorbed by lease re-issue; the
-//! streamed report stays byte-identical to the driver's. The final stdout
-//! line is then the [`ltds_sim::ServiceSummary`] as JSON.
-//!
-//! ```text
-//!     --serve DIR             # run as the campaign service over spool DIR
-//!     --worker DIR            # run as a worker against spool DIR (reads the
-//!                             # spec from DIR/campaign.json; other flags and
-//!                             # specs do not apply)
-//!     [--worker-id NAME]      # stable worker name (default w0)
-//!     [--incarnation N]       # restart counter; respawn wrappers increment it
-//!     [--poll-ms N]           # spool poll interval (default 25)
-//!     [--max-polls N]         # stall budget, in polls (default 100000)
-//!     [--lease-ticks N]       # heartbeat-silence ticks before a worker is dead
-//!     [--reissue-ticks N]     # lease age before straggler re-issue
-//!     [--max-attempts N]      # lease attempts before quarantine (default 3)
-//!     [--fallback-ticks N]    # ticks without workers before in-process
-//!                             # fallback; `none` disables (poison drills)
-//!     [--expect-quarantined N]# exit 1 unless exactly N units were quarantined
-//! ```
-//!
-//! # TCP server mode
+//! # Campaign service over TCP
 //!
 //! `--serve-tcp ADDR` runs a long-running **multi-tenant** campaign server
 //! over real sockets: any number of `campaign --submit ADDR` clients send
 //! campaign specs and subscribe to their report streams, any number of
 //! `campaign --worker-tcp ADDR` processes execute units, and every tenant
-//! shares the server's persistent caches. Tenants are content-addressed by
-//! their spec bytes, so a client that reconnects (or outlives a server
-//! restart against the same `--cache-dir`) resumes its stream exactly
-//! where it left off — the bytes received are identical to an
-//! uninterrupted in-process run.
+//! shares the server's persistent caches. Each tenant is a
+//! [`ltds_sim::CampaignService`]: worker crashes, silent workers, dropped
+//! sockets and torn frames are absorbed by lease re-issue, and the streamed
+//! report stays byte-identical to the in-process driver's. Tenants are
+//! content-addressed by their spec bytes, so a client that reconnects (or
+//! outlives a server restart against the same `--cache-dir`) resumes its
+//! stream exactly where it left off. A submitting client's final stdout
+//! line is the tenant's [`ltds_sim::ServiceSummary`] as JSON.
 //!
 //! ```text
 //!     --serve-tcp ADDR        # run the multi-tenant TCP campaign server
@@ -74,24 +50,47 @@
 //!     [--addr-file FILE]      # server: write the bound address to FILE
 //!     [--tenants N|none]      # server: exit after N tenants (default 1);
 //!                             # `none` serves until the poll budget idles
+//!     [--lease-ticks N]       # server: heartbeat-silence polls before a
+//!                             # worker is dead (default: 10 s of polls)
+//!     [--reissue-ticks N]     # server: lease age, in polls, before
+//!                             # straggler re-issue (default: 100 s of polls)
+//!     [--max-attempts N]      # server: blamed lease failures before
+//!                             # quarantine (default 3)
+//!     [--fallback-ticks N]    # server: polls without workers before the
+//!                             # in-process fallback (default: 30 s of
+//!                             # polls); `none` disables (poison drills)
+//!     [--worker-id NAME]      # worker: stable name (default w0)
+//!     [--incarnation N]       # worker: restart counter; respawn wrappers
+//!                             # increment it
 //!     [--local-fallback]      # submit: degrade to the in-process driver
 //!                             # if the server cannot be reached
+//!     [--expect-quarantined N]# submit: exit 1 unless exactly N units
+//!                             # were quarantined
+//!     [--poll-ms N]           # pause between polls (default 25); one
+//!                             # server poll is one service tick
+//!     [--max-polls N]         # stall budget, in polls (default 100000)
 //! ```
+//!
+//! A flag that does not apply to the chosen mode is an error, never
+//! silently ignored.
 //!
 //! Deterministic fault injection is armed from `LTDS_FAILPOINTS` (see
 //! `ltds_core::failpoint`) when the binary is built with
 //! `--features failpoints`; setting the variable on a binary built without
 //! the feature is an error, so a chaos drill can never silently run clean.
-//! The TCP paths add the sites `net.conn.drop` (worker drops its socket
-//! mid-unit), `net.frame.truncate` (worker tears a result frame) and
-//! `net.accept.stall` (server skips accept rounds).
+//! The sites are `worker.kill` (a worker exits 81 as a unit starts),
+//! `net.conn.drop` (a worker drops its socket mid-unit),
+//! `net.frame.truncate` (a worker tears a result frame),
+//! `net.accept.stall` (the server skips accept rounds) and
+//! `cache.persist.crash` (exit 83 right after a durable cache append).
 //!
-//! `--fleet-reports DIR` collects the streamed fleet shards as they pass
-//! through the sink and, after the run, folds each fully streamed scenario
-//! into the merged [`ltds_fleet::FleetReport`] the engine would have
-//! produced (bit-identical — `PreparedFleet::report` merges in shard
-//! order), written as `DIR/<scenario>.json`. Scenarios truncated by
-//! `--max-units` are skipped with a warning.
+//! `--fleet-reports DIR` reads the finished `--out` stream back and folds
+//! each fully streamed scenario's fleet shards into the merged
+//! [`ltds_fleet::FleetReport`] the engine would have produced
+//! (bit-identical — `PreparedFleet::report` merges in shard order),
+//! written as `DIR/<scenario>.json`. It works the same for the in-process
+//! driver and for `--submit`. Scenarios truncated by `--max-units` are
+//! skipped with a warning.
 //!
 //! The cache directory holds two segment stores —
 //! `<dir>/points/seg-<digest>.jsonl` for sweep grid points and
@@ -118,22 +117,58 @@
 use ltds_bench::workloads;
 use ltds_fleet::{FleetCampaign, FleetReportCollector, FleetScenario, ShardCache, TelemetryConfig};
 use ltds_sim::cache::SweepCache;
-use ltds_sim::campaign::{CampaignDriver, CampaignSummary, JsonlSink, ReportSink};
+use ltds_sim::campaign::{CampaignDriver, CampaignSummary, JsonlSink, ReportSink, StreamRecord};
 use ltds_sim::net::{
     run_tcp_worker, serve_tcp, submit_tcp, BackoffPolicy, TcpServerConfig, TcpSubmitConfig,
     TcpWorkerConfig,
 };
-use ltds_sim::service::{
-    run_spool_worker, serve_spool, CampaignService, ServiceConfig, ServiceSummary, SpoolConfig,
-    SpoolWorkerConfig,
-};
+use ltds_sim::service::{ServiceConfig, ServiceSummary};
 use std::io::{Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn fail(message: impl std::fmt::Display) -> ! {
     eprintln!("campaign: {message}");
     std::process::exit(2);
+}
+
+/// What one invocation runs as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Driver,
+    Serve,
+    Worker,
+    Submit,
+}
+
+impl Mode {
+    fn name(self) -> &'static str {
+        match self {
+            Mode::Driver => "the in-process driver",
+            Mode::Serve => "--serve-tcp",
+            Mode::Worker => "--worker-tcp",
+            Mode::Submit => "--submit",
+        }
+    }
+}
+
+/// The modes a flag applies to. Every other mode rejects it, so a flag a
+/// mode would ignore (a worker's `--expect-hits`, a server's
+/// `--fleet-reports`) is an error rather than a silent no-op.
+fn flag_modes(flag: &str) -> &'static [Mode] {
+    use Mode::{Driver, Serve, Submit, Worker};
+    match flag {
+        "--spec" | "--out" | "--fleet-reports" | "--threads" | "--expect-hits"
+        | "--expect-misses" | "--max-skipped" => &[Driver, Submit],
+        "--cache-dir" | "--cache-evict-bytes" => &[Driver, Serve, Submit],
+        "--telemetry" | "--max-units" => &[Driver],
+        "--serve-tcp" | "--addr-file" | "--tenants" | "--lease-ticks" | "--reissue-ticks"
+        | "--max-attempts" | "--fallback-ticks" => &[Serve],
+        "--worker-tcp" | "--worker-id" | "--incarnation" => &[Worker],
+        "--submit" | "--local-fallback" | "--expect-quarantined" => &[Submit],
+        "--poll-ms" | "--max-polls" => &[Serve, Worker, Submit],
+        _ => &[],
+    }
 }
 
 /// The published run summary: the driver's or the service's, depending on
@@ -176,40 +211,6 @@ impl RunSummary {
         match self {
             RunSummary::Driver(s) => serde_json::to_string(s).expect("summary serializes"),
             RunSummary::Service(s) => serde_json::to_string(s).expect("summary serializes"),
-        }
-    }
-}
-
-/// Worker mode: reads the spec the service published into the spool,
-/// executes assignments until shutdown. Fail points (if armed) can kill
-/// this process mid-unit — the respawn wrapper restarts it with a higher
-/// `--incarnation`.
-fn run_worker(config: SpoolWorkerConfig) -> ! {
-    let spec_path = config.dir.join("campaign.json");
-    // The service writes campaign.json as it starts; wait for it to appear
-    // and parse (retrying while a concurrent write is mid-flight).
-    let mut campaign: Option<FleetCampaign> = None;
-    for _ in 0..config.max_polls {
-        if let Ok(text) = std::fs::read_to_string(&spec_path) {
-            if let Ok(spec) = serde_json::from_str(&text) {
-                campaign = Some(spec);
-                break;
-            }
-        }
-        std::thread::sleep(config.poll);
-    }
-    let Some(campaign) = campaign else {
-        fail(format!("worker {}: no readable spec at {}", config.name, spec_path.display()));
-    };
-    let name = config.name.clone();
-    match run_spool_worker(&campaign, &config) {
-        Ok(completed) => {
-            eprintln!("worker {name}: completed {completed} unit(s)");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("worker {name}: {e}");
-            std::process::exit(1);
         }
     }
 }
@@ -311,6 +312,40 @@ fn submit_campaign(
     }
 }
 
+/// Folds the finished report at `out_path` into merged per-scenario
+/// [`ltds_fleet::FleetReport`]s, written as `dir/<scenario>.json`. Reading
+/// the stream back gives every mode one path: the in-process driver, a
+/// `--submit` stream resumed across reconnects, and its local fallback.
+fn write_fleet_reports(out_path: &str, campaign: &FleetCampaign, dir: &Path) {
+    let text = std::fs::read_to_string(out_path)
+        .unwrap_or_else(|e| fail(format!("cannot read {out_path}: {e}")));
+    let mut discard = JsonlSink::new(std::io::sink());
+    let mut collector = FleetReportCollector::new(&mut discard);
+    for (index, line) in text.lines().enumerate() {
+        let record: StreamRecord = serde_json::from_str(line).unwrap_or_else(|e| {
+            fail(format!("{out_path}:{}: not a stream record: {e}", index + 1))
+        });
+        collector.record(&record).expect("writing to io::sink cannot fail");
+    }
+    std::fs::create_dir_all(dir)
+        .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dir.display())));
+    let reports = collector
+        .reports(campaign)
+        .unwrap_or_else(|e| fail(format!("cannot merge fleet reports: {e}")));
+    for (name, report) in &reports {
+        // Scenario names come from specs; keep the filename tame.
+        let safe: String = name
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+            .collect();
+        let path = dir.join(format!("{safe}.json"));
+        let json = serde_json::to_string_pretty(report).expect("report serializes");
+        std::fs::write(&path, json + "\n")
+            .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", path.display())));
+        eprintln!("fleet report `{name}` -> {}", path.display());
+    }
+}
+
 /// TCP worker mode: connect (with backoff), execute assignments across
 /// every tenant the server announces, reconnect with a bumped incarnation
 /// whenever the socket dies, exit on the server's shutdown broadcast.
@@ -341,8 +376,6 @@ fn main() {
     let mut expect_misses: Option<u64> = None;
     let mut max_skipped: Option<u64> = None;
     let mut expect_quarantined: Option<u64> = None;
-    let mut serve_dir: Option<PathBuf> = None;
-    let mut worker_dir: Option<PathBuf> = None;
     let mut serve_tcp_addr: Option<String> = None;
     let mut worker_tcp_addr: Option<String> = None;
     let mut submit_addr: Option<String> = None;
@@ -353,16 +386,11 @@ fn main() {
     let mut incarnation = 0u64;
     let mut poll_ms = 25u64;
     let mut max_polls = 100_000u64;
-    // A spool poll is a service tick, so tick-denominated knobs get
-    // poll-scale defaults. Workers announce once per poll and once per
-    // unit, but a single slow unit sends nothing while it computes — the
-    // lease window must comfortably cover one unit's runtime.
-    let mut service_config = ServiceConfig {
-        lease_ticks: 400,
-        reissue_ticks: 4000,
-        fallback_ticks: Some(1200),
-        ..ServiceConfig::default()
-    };
+    let mut lease_ticks: Option<u64> = None;
+    let mut reissue_ticks: Option<u64> = None;
+    let mut fallback_ticks: Option<Option<u64>> = None;
+    let mut max_attempts = ServiceConfig::default().max_attempts;
+    let mut given: Vec<String> = Vec::new();
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -371,7 +399,8 @@ fn main() {
         args.get(*i).unwrap_or_else(|| fail(format!("{flag} needs a value"))).clone()
     };
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].clone();
+        match flag.as_str() {
             "--spec" => spec_path = Some(value(&args, &mut i, "--spec")),
             "--cache-dir" => cache_dir = Some(PathBuf::from(value(&args, &mut i, "--cache-dir"))),
             "--cache-evict-bytes" => {
@@ -438,8 +467,6 @@ fn main() {
                         .unwrap_or_else(|_| fail("--expect-quarantined needs a number")),
                 )
             }
-            "--serve" => serve_dir = Some(PathBuf::from(value(&args, &mut i, "--serve"))),
-            "--worker" => worker_dir = Some(PathBuf::from(value(&args, &mut i, "--worker"))),
             "--serve-tcp" => serve_tcp_addr = Some(value(&args, &mut i, "--serve-tcp")),
             "--worker-tcp" => worker_tcp_addr = Some(value(&args, &mut i, "--worker-tcp")),
             "--submit" => submit_addr = Some(value(&args, &mut i, "--submit")),
@@ -476,17 +503,21 @@ fn main() {
                     .unwrap_or_else(|_| fail("--max-polls needs a number"))
             }
             "--lease-ticks" => {
-                service_config.lease_ticks = value(&args, &mut i, "--lease-ticks")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--lease-ticks needs a number"))
+                lease_ticks = Some(
+                    value(&args, &mut i, "--lease-ticks")
+                        .parse()
+                        .unwrap_or_else(|_| fail("--lease-ticks needs a number")),
+                )
             }
             "--reissue-ticks" => {
-                service_config.reissue_ticks = value(&args, &mut i, "--reissue-ticks")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--reissue-ticks needs a number"))
+                reissue_ticks = Some(
+                    value(&args, &mut i, "--reissue-ticks")
+                        .parse()
+                        .unwrap_or_else(|_| fail("--reissue-ticks needs a number")),
+                )
             }
             "--max-attempts" => {
-                service_config.max_attempts = value(&args, &mut i, "--max-attempts")
+                max_attempts = value(&args, &mut i, "--max-attempts")
                     .parse()
                     .ok()
                     .filter(|&n: &u32| n > 0)
@@ -494,16 +525,17 @@ fn main() {
             }
             "--fallback-ticks" => {
                 let v = value(&args, &mut i, "--fallback-ticks");
-                service_config.fallback_ticks = match v.as_str() {
+                fallback_ticks = Some(match v.as_str() {
                     "none" => None,
                     n => Some(
                         n.parse()
                             .unwrap_or_else(|_| fail("--fallback-ticks needs a number or `none`")),
                     ),
-                }
+                })
             }
             other => fail(format!("unknown argument: {other}")),
         }
+        given.push(flag);
         i += 1;
     }
 
@@ -523,32 +555,19 @@ fn main() {
         Err(e) => fail(format!("invalid LTDS_FAILPOINTS: {e}")),
     }
 
-    let modes = [
-        ("--serve", serve_dir.is_some()),
-        ("--worker", worker_dir.is_some()),
-        ("--serve-tcp", serve_tcp_addr.is_some()),
-        ("--worker-tcp", worker_tcp_addr.is_some()),
-        ("--submit", submit_addr.is_some()),
-    ];
-    if modes.iter().filter(|(_, set)| *set).count() > 1 {
-        fail("--serve, --worker, --serve-tcp, --worker-tcp and --submit are mutually exclusive");
-    }
-    if let Some(dir) = worker_dir {
-        if spec_path.is_some() {
-            fail("--worker reads its spec from the spool's campaign.json, not --spec");
+    let mode = match (&serve_tcp_addr, &worker_tcp_addr, &submit_addr) {
+        (None, None, None) => Mode::Driver,
+        (Some(_), None, None) => Mode::Serve,
+        (None, Some(_), None) => Mode::Worker,
+        (None, None, Some(_)) => Mode::Submit,
+        _ => fail("--serve-tcp, --worker-tcp and --submit are mutually exclusive"),
+    };
+    for flag in &given {
+        if !flag_modes(flag).contains(&mode) {
+            fail(format!("{flag} does not apply to {}", mode.name()));
         }
-        run_worker(SpoolWorkerConfig {
-            dir,
-            name: worker_id,
-            incarnation,
-            poll: Duration::from_millis(poll_ms),
-            max_polls,
-        });
     }
     if let Some(addr) = worker_tcp_addr {
-        if spec_path.is_some() {
-            fail("--worker-tcp receives specs from the server, not --spec");
-        }
         run_worker_tcp(TcpWorkerConfig {
             addr,
             name: worker_id,
@@ -558,31 +577,14 @@ fn main() {
             reconnect: BackoffPolicy::default(),
         });
     }
-    if serve_dir.is_some() || serve_tcp_addr.is_some() || submit_addr.is_some() {
-        if max_units.is_some() {
-            fail("--max-units applies to the in-process driver only");
-        }
-        if telemetry_hours.is_some() {
-            fail("--telemetry applies to the in-process driver only");
-        }
-    }
-    if submit_addr.is_some() && fleet_reports.is_some() {
-        fail("--fleet-reports applies to the in-process driver and --serve, not --submit");
-    }
     if cache_evict_bytes.is_some() && cache_dir.is_none() {
         fail("--cache-evict-bytes needs --cache-dir");
     }
 
     // The TCP server receives specs from --submit clients over the wire;
     // every other mode needs one now.
-    let campaign: Option<FleetCampaign> = if serve_tcp_addr.is_some() {
-        if spec_path.is_some() {
-            fail("--serve-tcp receives specs from --submit clients, not --spec");
-        }
-        None
-    } else {
-        Some(load_spec(spec_path.as_deref()))
-    };
+    let campaign: Option<FleetCampaign> =
+        if mode == Mode::Serve { None } else { Some(load_spec(spec_path.as_deref())) };
     if let Some(campaign) = &campaign {
         eprintln!(
             "campaign `{}`: {} sweep(s), {} scenario(s)",
@@ -661,13 +663,26 @@ fn main() {
     // TCP server mode: serve submitted campaigns over the shared caches
     // until the tenant target is met, then publish the server summary.
     if let Some(addr) = serve_tcp_addr {
+        // One poll is one service tick, so each tick window defaults to a
+        // fixed wall-clock span at any --poll-ms: a 10 s heartbeat lease,
+        // 100 s before straggler re-issue and 30 s without workers before
+        // the in-process fallback. A worker sends nothing while it computes
+        // a unit, so the lease must outlast the slowest unit.
+        let polls_in = |ms: u64| ms.div_ceil(poll_ms);
+        let service = ServiceConfig {
+            lease_ticks: lease_ticks.unwrap_or(polls_in(10_000)),
+            reissue_ticks: reissue_ticks.unwrap_or(polls_in(100_000)),
+            fallback_ticks: fallback_ticks.unwrap_or(Some(polls_in(30_000))),
+            max_attempts,
+            ..ServiceConfig::default()
+        };
         let config = TcpServerConfig {
             addr,
             addr_file,
             poll: Duration::from_millis(poll_ms),
             idle_polls: max_polls,
             tenants,
-            service: service_config,
+            service,
             ..TcpServerConfig::default()
         };
         match serve_tcp::<FleetScenario>(&config, Some(&points), Some(&shards)) {
@@ -704,74 +719,17 @@ fn main() {
         let file = std::fs::File::create(&out_path)
             .unwrap_or_else(|e| fail(format!("cannot create {out_path}: {e}")));
         let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
-
-        // One run, two modes: the in-process driver, or the fault-tolerant
-        // service over a spool directory. Both stream the same bytes.
-        let run = |sink: &mut dyn ReportSink| match &serve_dir {
-            Some(dir) => {
-                let mut service = CampaignService::new(campaign.clone(), service_config)?
-                    .point_cache(&points)
-                    .shard_cache(&shards);
-                let spool = SpoolConfig {
-                    dir: dir.clone(),
-                    poll: Duration::from_millis(poll_ms),
-                    max_polls,
-                };
-                serve_spool(&mut service, &spool, sink).map(RunSummary::Service)
-            }
-            None => {
-                let mut driver =
-                    CampaignDriver::new(&campaign).point_cache(&points).shard_cache(&shards);
-                if let Some(threads) = threads {
-                    driver = driver.threads(threads);
-                }
-                if let Some(hours) = telemetry_hours {
-                    driver =
-                        driver.telemetry(TelemetryConfig::default().sample_period_hours(hours));
-                }
-                if let Some(k) = max_units {
-                    driver = driver.max_units(k);
-                }
-                driver.run(sink).map(RunSummary::Driver)
-            }
-        };
-        // With --fleet-reports the sink is teed through a collector that
-        // gathers fleet shards for the merged per-scenario reports.
-        let result = match &fleet_reports {
-            Some(dir) => {
-                let mut collector = FleetReportCollector::new(&mut sink);
-                let result = run(&mut collector);
-                if result.is_ok() {
-                    std::fs::create_dir_all(dir)
-                        .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dir.display())));
-                    let reports = collector
-                        .reports(&campaign)
-                        .unwrap_or_else(|e| fail(format!("cannot merge fleet reports: {e}")));
-                    for (name, report) in &reports {
-                        // Scenario names come from specs; keep the filename tame.
-                        let safe: String = name
-                            .chars()
-                            .map(|c| {
-                                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                                    c
-                                } else {
-                                    '_'
-                                }
-                            })
-                            .collect();
-                        let path = dir.join(format!("{safe}.json"));
-                        let json = serde_json::to_string_pretty(report).expect("report serializes");
-                        std::fs::write(&path, json + "\n").unwrap_or_else(|e| {
-                            fail(format!("cannot write {}: {e}", path.display()))
-                        });
-                        eprintln!("fleet report `{name}` -> {}", path.display());
-                    }
-                }
-                result
-            }
-            None => run(&mut sink as &mut dyn ReportSink),
-        };
-        let summary = match result {
+        let mut driver = CampaignDriver::new(&campaign).point_cache(&points).shard_cache(&shards);
+        if let Some(threads) = threads {
+            driver = driver.threads(threads);
+        }
+        if let Some(hours) = telemetry_hours {
+            driver = driver.telemetry(TelemetryConfig::default().sample_period_hours(hours));
+        }
+        if let Some(k) = max_units {
+            driver = driver.max_units(k);
+        }
+        let summary = match driver.run(&mut sink) {
             Ok(summary) => summary,
             Err(e) => {
                 eprintln!("campaign failed: {e}");
@@ -779,8 +737,11 @@ fn main() {
             }
         };
         sink.into_inner().flush().unwrap_or_else(|e| fail(format!("cannot flush {out_path}: {e}")));
-        summary
+        RunSummary::Driver(summary)
     };
+    if let Some(dir) = &fleet_reports {
+        write_fleet_reports(&out_path, &campaign, dir);
+    }
     // Damaged records dropped while loading the persistent caches: the
     // driver cannot see them, so the binary folds them into the published
     // summary (CI greps for a nonzero count after corruption drills).

@@ -3,7 +3,7 @@
 //! The source paper's method is to *assume* components fail and then prove
 //! the detection/repair machinery holds; this module is the same mindset
 //! applied to our own campaign plumbing. Code under test declares named
-//! fail-point *sites* (`worker.kill`, `spool.corrupt`, ...) by calling
+//! fail-point *sites* (`worker.kill`, `net.frame.truncate`, ...) by calling
 //! [`fire`] with a context value (usually the work-unit ordinal). A *plan*
 //! — parsed from a compact spec string, typically the `LTDS_FAILPOINTS`
 //! environment variable — decides which evaluations trigger.
@@ -34,11 +34,11 @@
 //!   thread-invariant "random" P-permille of evaluations.
 //! * `times:N` — caps the rule at N firings (per process).
 //!
-//! Example: kill the worker the first time it executes unit 9, and corrupt
-//! roughly 5% of spool frames:
+//! Example: kill the worker the first time it executes unit 9, and drop
+//! the worker's socket on roughly 5% of the units it starts:
 //!
 //! ```text
-//! LTDS_FAILPOINTS='worker.kill=unit:9,times:1;spool.corrupt=hash:50'
+//! LTDS_FAILPOINTS='worker.kill=unit:9,times:1;net.conn.drop=hash:50'
 //! ```
 
 use crate::hash::fnv1a;
@@ -253,7 +253,7 @@ mod tests {
 
     #[test]
     fn parses_the_readme_spec() {
-        let plan = FailPlan::parse("worker.kill=unit:9,times:1;spool.corrupt=hash:50", 7).unwrap();
+        let plan = FailPlan::parse("worker.kill=unit:9,times:1;net.conn.drop=hash:50", 7).unwrap();
         assert_eq!(plan.rules.len(), 2);
         assert_eq!(plan.rules[0].trigger, Trigger::Unit(9));
         assert_eq!(plan.rules[0].times, Some(1));

@@ -18,9 +18,9 @@
 //! error instead of blending into the generic skip path, so loaders can
 //! tell "torn tail write" apart from "this file is not ours".
 //!
-//! The spool transport ships the same records between processes and wants
-//! truncation detected *before* hashing a partial payload, so it uses the
-//! length-prefixed framed variant ([`encode_framed`] / [`decode_framed`]):
+//! The campaign transport ships the same records between processes and
+//! wants truncation detected *before* hashing a partial payload, so it uses
+//! the length-prefixed framed variant ([`encode_framed`] / [`decode_framed`]):
 //!
 //! ```text
 //! <8 hex payload-byte-length> <16 hex checksum> <payload>\n
@@ -29,8 +29,8 @@
 use crate::hash::fnv1a;
 
 /// Hard ceiling on a record payload's byte length. Anything larger is not a
-/// payload this workspace writes — segment entries and spool frames are
-/// single JSON values — and is rejected with [`RecordError::Oversized`]
+/// payload this workspace writes — segment entries and transport frames
+/// are single JSON values — and is rejected with [`RecordError::Oversized`]
 /// before the decoder hashes (or a caller buffers) an absurd line.
 pub const MAX_PAYLOAD_BYTES: usize = 16 << 20;
 
@@ -120,9 +120,8 @@ pub fn decode(line: &str) -> Result<&str, RecordError> {
 
 /// Frames a payload as one *length-prefixed* checksummed record line
 /// (without the trailing newline): `<8 hex length> <16 hex checksum>
-/// <payload>`. The spool transport uses this shape so a reader can tell a
-/// truncated frame from a short payload before hashing anything, and so a
-/// future TCP transport can reuse the exact same bytes.
+/// <payload>`. The TCP campaign transport uses this shape so a reader can
+/// tell a truncated frame from a short payload before hashing anything.
 ///
 /// Unlike [`encode`], this is fallible: transports frame data on behalf of
 /// remote peers, so a payload that could never round-trip (embedded
@@ -311,7 +310,7 @@ mod tests {
 
     #[test]
     fn framed_truncation_is_detected() {
-        let line = encode_framed("spool frame payload").unwrap();
+        let line = encode_framed("transport frame payload").unwrap();
         // A torn write that loses the payload tail: the stated length no
         // longer matches the surviving bytes.
         assert_eq!(decode_framed(&line[..line.len() - 4]), Err(RecordError::LengthMismatch));

@@ -120,7 +120,8 @@ impl Deserialize for ShardOutcome {
                 .map_err(|e| serde::Error::custom(format!("ShardOutcome.{key}: {e}")))
         }
         // Pre-policy records have no `policy_totals` key: absent reads as
-        // the empty tally list, so old spool/cache segments stay loadable.
+        // the empty tally list, so old streams and cache segments stay
+        // loadable.
         let policy_totals = match value.get("policy_totals") {
             None | Some(Value::Null) => Vec::new(),
             Some(v) => Vec::<PolicyTally>::from_value(v)?,

@@ -401,10 +401,11 @@ impl ReportSink for MemorySink {
 pub enum CampaignError {
     /// A sweep or scenario spec was invalid.
     Model(ModelError),
-    /// The report sink failed.
+    /// An I/O operation failed: the report sink, a socket or a file.
     Io(std::io::Error),
     /// The campaign service made no progress for too long (every worker
-    /// dead with fallback disabled, or a spool transport wedged).
+    /// dead with fallback disabled, or a server or client idling past its
+    /// poll budget).
     Stalled {
         /// Sim-clock ticks (or transport polls) elapsed without completing.
         ticks: u64,
@@ -415,7 +416,7 @@ impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CampaignError::Model(e) => write!(f, "invalid campaign spec: {e}"),
-            CampaignError::Io(e) => write!(f, "report sink failed: {e}"),
+            CampaignError::Io(e) => write!(f, "I/O error: {e}"),
             CampaignError::Stalled { ticks } => {
                 write!(f, "campaign service stalled after {ticks} ticks")
             }

@@ -25,11 +25,11 @@
 //!   report streaming;
 //! * [`service`] — the fault-tolerant form of the campaign driver: a
 //!   lease-based state machine dispatching units to crash-prone workers
-//!   (spool-directory transport, deterministic in-process chaos harness)
-//!   while keeping the streamed report byte-identical;
-//! * [`net`] — the same service behind real sockets: a long-running
-//!   multi-tenant TCP campaign server with reconnect-safe workers and
-//!   cursor-resumable report subscribers;
+//!   (plus a deterministic in-process chaos harness) while keeping the
+//!   streamed report byte-identical;
+//! * [`net`] — the service's transport: a long-running multi-tenant TCP
+//!   campaign server with reconnect-safe workers and cursor-resumable
+//!   report subscribers;
 //! * [`validate`] — side-by-side comparison with the closed-form model.
 //!
 //! # Example
@@ -72,9 +72,8 @@ pub use net::{
     TcpSubmitConfig, TcpWorkerConfig,
 };
 pub use service::{
-    run_spool_worker, serve_spool, serve_transport, CampaignService, ChaosScript, ServerMsg,
-    ServiceConfig, ServiceHarness, ServiceSummary, SpoolConfig, SpoolTransport, SpoolWorkerConfig,
-    Transport, WorkerMsg,
+    CampaignService, ChaosScript, ServerMsg, ServiceConfig, ServiceHarness, ServiceSummary,
+    WorkerMsg,
 };
 pub use trial::{TrialOutcome, TrialRunner};
 pub use validate::{validate_against_model, ValidationReport};

@@ -1,18 +1,18 @@
 //! TCP campaign transport: a long-running, multi-tenant campaign server
 //! over real sockets, plus the worker and submit clients that talk to it.
 //!
-//! Frames on the wire are exactly the spool transport's bytes — one
-//! [`ltds_core::record::encode_framed`] line per JSON message — so the
-//! torn-write and corruption guarantees carry over unchanged; the
-//! difference is that a socket hands them back in arbitrary `read()`
-//! chunks, which [`ltds_core::record::FrameDecoder`] reassembles without
-//! ever letting one damaged frame poison the connection.
+//! Every frame on the wire is one [`ltds_core::record::encode_framed`]
+//! line per JSON message: length-prefixed and checksummed, so a torn or
+//! corrupted frame is detected rather than parsed. A socket hands frames
+//! back in arbitrary `read()` chunks, which
+//! [`ltds_core::record::FrameDecoder`] reassembles without ever letting one
+//! damaged frame poison the connection.
 //!
 //! The server ([`serve_tcp`]) is a single-threaded poll loop over
 //! non-blocking sockets. Each *tenant* — a campaign spec submitted by a
 //! client — owns one [`CampaignService`] state machine; every server poll
-//! ticks every live tenant once, so all the PR 8 fault handling (lease
-//! expiry on heartbeat silence, blame-attributed retry, quarantine,
+//! ticks every live tenant once, so all of the service's fault handling
+//! (lease expiry on heartbeat silence, blame-attributed retry, quarantine,
 //! incarnation tracking) applies per tenant with no new recovery code.
 //! Workers are shared across tenants: a worker's heartbeat refreshes its
 //! liveness in *every* tenant (it may be busy on another tenant's unit),
@@ -53,7 +53,7 @@ use crate::campaign::{
     Scenario, StreamRecord, Unit,
 };
 use crate::monte_carlo::MttdlEstimate;
-use crate::service::{CampaignService, ServiceConfig, ServiceSummary, WorkerMsg};
+use crate::service::{CampaignService, ServerMsg, ServiceConfig, ServiceSummary, WorkerMsg};
 use ltds_core::hash::fnv1a;
 use ltds_core::record::{encode_framed, FrameDecoder};
 use serde::{Deserialize, Serialize, Value};
@@ -616,7 +616,7 @@ where
         }
 
         // Tick every live tenant once and route its assignments.
-        let mut assignments: Vec<(String, u64, crate::service::ServerMsg)> = Vec::new();
+        let mut assignments: Vec<(String, u64, ServerMsg)> = Vec::new();
         for (id, tenant) in tenants.iter_mut() {
             if tenant.summary.is_some() {
                 continue;
@@ -630,7 +630,7 @@ where
                 active = true;
             }
         }
-        for (worker, tenant_id, msg) in assignments {
+        for (worker, tenant_id, ServerMsg::Assign { unit, lease }) in assignments {
             let Some(conn) = conns
                 .iter_mut()
                 .find(|c| matches!(&c.peer, Peer::Worker { name } if *name == worker) && !c.dead)
@@ -638,18 +638,16 @@ where
                 // The socket died since the tick; the lease will expire.
                 continue;
             };
-            if let crate::service::ServerMsg::Assign { unit, lease } = msg {
-                if !conn.announced.contains(&tenant_id) {
-                    let spec: Value = serde_json::value_from_str(&tenants[&tenant_id].spec_json)
-                        .expect("spec round-trips");
-                    let campaign = NetServerMsg::Campaign { tenant: tenant_id, spec };
-                    conn.queue(&serde_json::to_string(&campaign).expect("message serializes"));
-                    conn.announced.push(tenant_id);
-                }
-                let assign = NetServerMsg::Assign { tenant: tenant_id, unit, lease };
-                conn.queue(&serde_json::to_string(&assign).expect("message serializes"));
-                active = true;
+            if !conn.announced.contains(&tenant_id) {
+                let spec: Value = serde_json::value_from_str(&tenants[&tenant_id].spec_json)
+                    .expect("spec round-trips");
+                let campaign = NetServerMsg::Campaign { tenant: tenant_id, spec };
+                conn.queue(&serde_json::to_string(&campaign).expect("message serializes"));
+                conn.announced.push(tenant_id);
             }
+            let assign = NetServerMsg::Assign { tenant: tenant_id, unit, lease };
+            conn.queue(&serde_json::to_string(&assign).expect("message serializes"));
+            active = true;
         }
 
         // Stream report deltas to subscribers, respecting the buffer bound.
@@ -778,9 +776,8 @@ struct TenantWork<S: Scenario> {
     units: Vec<Unit>,
 }
 
-/// Process exit code of a worker killed by the `worker.kill` fail point
-/// (shared with the spool transport).
-pub use crate::service::EXIT_KILLED;
+/// Process exit code of a worker killed by the `worker.kill` fail point.
+pub const EXIT_KILLED: i32 = 81;
 
 /// Runs one TCP worker until the server broadcasts shutdown: connects
 /// (with backoff), announces itself, executes assignments across any
@@ -849,8 +846,8 @@ where
                         if unit as usize >= work.units.len() {
                             continue;
                         }
-                        // Durable-intent announcement before any crash can
-                        // land, exactly like the spool worker.
+                        // Announce the unit before any crash can land, so
+                        // the service blames exactly this unit if we die.
                         let working = NetWorkerMsg::Working { tenant, unit };
                         if write_frame(
                             &mut stream,

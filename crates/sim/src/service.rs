@@ -34,14 +34,11 @@
 //!   no live worker the service degrades to in-process execution, so a
 //!   campaign never hangs on an empty fleet.
 //!
-//! Two transports drive the state machine: [`ServiceHarness`] simulates a
-//! worker fleet deterministically in-process (the test suite's chaos rig,
-//! always compiled), and [`serve_spool`]/[`run_spool_worker`] exchange
-//! checksum-framed JSON lines ([`ltds_core::record::encode_framed`]) through
-//! a shared spool directory, one `out.jsonl`/`in.jsonl` pair per worker —
-//! crash-tolerant by construction: torn tails are detected by the framing,
-//! appends are atomic at line granularity, and a respawned worker resumes
-//! from its persisted cursor.
+//! Two drivers feed the state machine: [`crate::net::serve_tcp`] carries
+//! worker messages over sockets as checksum-framed JSON lines and ticks the
+//! service once per poll, and [`ServiceHarness`] simulates a worker fleet
+//! deterministically in-process (the test suite's chaos rig, always
+//! compiled).
 
 use crate::cache::SweepCache;
 use crate::campaign::{
@@ -52,14 +49,6 @@ use crate::monte_carlo::MttdlEstimate;
 use crate::sweep::SweepPoint;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
-use std::time::Duration;
-
-/// Process exit code of a worker killed by the `worker.kill` fail point.
-pub const EXIT_KILLED: i32 = 81;
-/// Process exit code of a worker that tore a spool frame (`spool.truncate`).
-pub const EXIT_TORN: i32 = 82;
 
 /// Tuning knobs of the campaign service's fault handling. All durations are
 /// in *ticks* of the service's sim clock — one [`CampaignService::tick`]
@@ -97,7 +86,7 @@ impl Default for ServiceConfig {
 }
 
 /// Messages workers send the service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum WorkerMsg {
     /// A worker announcing itself (or a respawn: same name, higher
     /// incarnation — the old incarnation's leases are forfeited).
@@ -114,11 +103,10 @@ pub enum WorkerMsg {
         /// Monotonic per-name restart counter.
         incarnation: u64,
     },
-    /// Announces that the worker is about to execute `unit` — sent durably
-    /// (in the spool transport, appended before execution starts) so that
-    /// if the worker dies, the service can blame the unit that was actually
-    /// running rather than every unit queued on the worker. Only blamed
-    /// failures count toward quarantine.
+    /// Announces that the worker is about to execute `unit` — sent before
+    /// execution starts, so that if the worker dies, the service can blame
+    /// the unit that was actually running rather than every unit queued on
+    /// the worker. Only blamed failures count toward quarantine.
     Working {
         /// Stable worker name.
         worker: String,
@@ -145,7 +133,7 @@ pub enum WorkerMsg {
 }
 
 /// Messages the service sends workers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ServerMsg {
     /// A lease on one unit: execute it and report [`WorkerMsg::Done`].
     Assign {
@@ -154,8 +142,6 @@ pub enum ServerMsg {
         /// Lease identifier (unique per issue, including re-issues).
         lease: u64,
     },
-    /// The campaign is complete; the worker should exit.
-    Shutdown,
 }
 
 /// Where one unit stands in the lease lifecycle. `attempts` counts *blamed*
@@ -242,8 +228,8 @@ impl ServiceSummary {
 }
 
 /// The campaign service state machine. See the module docs for the fault
-/// model; see [`ServiceHarness`] and [`serve_spool`] for the two transports
-/// that drive it.
+/// model; see [`ServiceHarness`] and [`crate::net::serve_tcp`] for the two
+/// drivers that feed it.
 pub struct CampaignService<'a, S: Scenario> {
     campaign: Campaign<S>,
     prepared: Vec<(String, S::Prepared)>,
@@ -304,11 +290,6 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
     pub fn shard_cache(mut self, cache: &'a SweepCache<S::Outcome>) -> Self {
         self.shard_cache = Some(cache);
         self
-    }
-
-    /// The campaign this service executes.
-    pub fn campaign(&self) -> &Campaign<S> {
-        &self.campaign
     }
 
     /// Probes the caches and commits every already-answered unit, so a
@@ -807,11 +788,10 @@ impl<'a, S: Scenario> ServiceHarness<'a, S> {
                 };
                 service.handle(&heartbeat, sink)?;
                 while let Some(msg) = worker.inbox.pop_front() {
-                    let ServerMsg::Assign { unit, .. } = msg else { continue };
-                    // The execution announcement lands before any crash —
-                    // modelling the durable spool append — so the service
-                    // can blame the unit actually running when this worker
-                    // dies, not every unit queued on it.
+                    let ServerMsg::Assign { unit, lease } = msg;
+                    // The execution announcement lands before any crash, so
+                    // the service can blame the unit actually running when
+                    // this worker dies, not every unit queued on it.
                     let working = WorkerMsg::Working {
                         worker: worker.name.clone(),
                         incarnation: worker.incarnation,
@@ -827,7 +807,6 @@ impl<'a, S: Scenario> ServiceHarness<'a, S> {
                         worker.outbox.clear();
                         break;
                     }
-                    let ServerMsg::Assign { unit, lease } = msg else { unreachable!() };
                     let raw = compute_unit_raw::<S>(
                         &self.campaign.sweeps,
                         &prepared,
@@ -856,354 +835,6 @@ impl<'a, S: Scenario> ServiceHarness<'a, S> {
         }
         service.finish(sink)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Spool transport: checksum-framed JSON lines through a shared directory.
-// ---------------------------------------------------------------------------
-
-/// Spool-side configuration of [`serve_spool`].
-#[derive(Debug, Clone)]
-pub struct SpoolConfig {
-    /// The spool directory (shared with every worker).
-    pub dir: PathBuf,
-    /// Wall-clock delay between polls (each poll is one service tick).
-    pub poll: Duration,
-    /// Poll budget before the run is declared stalled.
-    pub max_polls: u64,
-}
-
-/// Worker-side configuration of [`run_spool_worker`].
-#[derive(Debug, Clone)]
-pub struct SpoolWorkerConfig {
-    /// The spool directory (shared with the service).
-    pub dir: PathBuf,
-    /// Stable worker name (also the worker's subdirectory name).
-    pub name: String,
-    /// Monotonic restart counter — a respawn wrapper must increment it.
-    pub incarnation: u64,
-    /// Wall-clock delay between polls.
-    pub poll: Duration,
-    /// Poll budget before the worker gives up.
-    pub max_polls: u64,
-}
-
-/// Reads newline-delimited [`ltds_core::record::encode_framed`] frames from
-/// a growing file, consuming only complete lines (a torn tail stays pending
-/// until its writer finishes or a later append closes it — in which case
-/// the glued line fails the frame check and is counted, not trusted).
-struct FrameCursor {
-    path: PathBuf,
-    offset: u64,
-}
-
-impl FrameCursor {
-    fn new(path: PathBuf, offset: u64) -> Self {
-        Self { path, offset }
-    }
-
-    /// Decodes every complete frame appended since the last poll. Returns
-    /// the decoded payloads and the number of rejected lines.
-    fn poll(&mut self) -> (Vec<String>, u64) {
-        let mut frames = Vec::new();
-        let mut corrupt = 0u64;
-        let Ok(mut file) = std::fs::File::open(&self.path) else {
-            return (frames, corrupt);
-        };
-        if file.seek(SeekFrom::Start(self.offset)).is_err() {
-            return (frames, corrupt);
-        }
-        let mut buf = Vec::new();
-        if file.read_to_end(&mut buf).is_err() {
-            return (frames, corrupt);
-        }
-        let Some(last_newline) = buf.iter().rposition(|&b| b == b'\n') else {
-            return (frames, corrupt);
-        };
-        let complete = &buf[..=last_newline];
-        self.offset += complete.len() as u64;
-        for line in complete.split(|&b| b == b'\n') {
-            if line.is_empty() {
-                continue;
-            }
-            match std::str::from_utf8(line)
-                .ok()
-                .and_then(|s| ltds_core::record::decode_framed(s).ok())
-            {
-                Some(payload) => frames.push(payload.to_string()),
-                None => corrupt += 1,
-            }
-        }
-        (frames, corrupt)
-    }
-}
-
-/// Appends one framed message line to a spool file.
-fn append_frame(path: &Path, payload: &str) -> std::io::Result<()> {
-    let frame = ltds_core::record::encode_framed(payload)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    file.write_all(frame.as_bytes())?;
-    file.write_all(b"\n")
-}
-
-/// Appends a worker's `Done` frame, with chaos instrumentation: the
-/// `spool.corrupt` fail point flips a checksum character (the frame stays
-/// one line but fails verification, so the service discards it and the
-/// lease recovers the loss) and `spool.truncate` writes half the line and
-/// kills the process (a torn tail the framing must absorb).
-fn append_done_frame(path: &Path, payload: &str, unit: u64) -> std::io::Result<()> {
-    let mut frame = ltds_core::record::encode_framed(payload)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    if ltds_core::failpoint::fire("spool.corrupt", unit) {
-        // Byte 9 is the first checksum hex digit: flipping it keeps the
-        // line ASCII and single-line but guarantees rejection.
-        let mut bytes = frame.into_bytes();
-        bytes[9] = if bytes[9] == b'0' { b'1' } else { b'0' };
-        frame = String::from_utf8(bytes).expect("hex digits are ASCII");
-    }
-    frame.push('\n');
-    let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    if ltds_core::failpoint::fire("spool.truncate", unit) {
-        file.write_all(&frame.as_bytes()[..frame.len() / 2])?;
-        let _ = file.flush();
-        eprintln!("spool worker: failpoint spool.truncate fired; aborting mid-frame");
-        std::process::exit(EXIT_TORN);
-    }
-    file.write_all(frame.as_bytes())
-}
-
-/// How a [`CampaignService`] reaches its worker fleet. One implementation
-/// polls a shared spool directory ([`SpoolTransport`]); the TCP transport in
-/// [`crate::net`] carries the same checksum-framed JSON lines over sockets.
-/// The service itself stays a pure state machine: everything wall-clock or
-/// I/O shaped lives behind this trait, and one [`serve_transport`] poll is
-/// one service tick, whatever the medium.
-pub trait Transport {
-    /// Publishes the campaign spec where (late-joining) workers can load it.
-    /// Transports whose workers carry their own spec may no-op.
-    fn publish(&mut self, campaign_json: &str) -> std::io::Result<()>;
-    /// Collects every worker message payload that arrived since the last
-    /// poll, plus the number of frames rejected by checksum/framing checks.
-    fn poll(&mut self) -> (Vec<String>, u64);
-    /// Sends one message payload to the named worker.
-    fn send(&mut self, worker: &str, message: &str) -> std::io::Result<()>;
-    /// Broadcasts the shutdown message to every worker ever seen and marks
-    /// the campaign complete for workers that poll in later.
-    fn shutdown(&mut self, message: &str) -> std::io::Result<()>;
-    /// Waits between polls (a wall-clock sleep for real transports; no-op
-    /// for in-memory ones).
-    fn pause(&mut self);
-}
-
-/// Runs a [`CampaignService`] over any [`Transport`]: publish the spec,
-/// stream the warm prefix, then poll/handle/tick until done — each poll
-/// advancing the sim clock exactly one tick — and broadcast shutdown.
-/// Returns [`CampaignError::Stalled`] past the `max_polls` budget.
-pub fn serve_transport<S: Scenario + Serialize>(
-    service: &mut CampaignService<'_, S>,
-    transport: &mut dyn Transport,
-    max_polls: u64,
-    sink: &mut dyn ReportSink,
-) -> Result<ServiceSummary, CampaignError> {
-    let spec = serde_json::to_string_pretty(service.campaign()).expect("campaign serializes");
-    transport.publish(&spec)?;
-    service.start(sink)?;
-
-    let mut polls: u64 = 0;
-    while !service.is_done() {
-        polls += 1;
-        if polls > max_polls {
-            return Err(CampaignError::Stalled { ticks: polls });
-        }
-        let (frames, corrupt) = transport.poll();
-        service.note_corrupt_frames(corrupt);
-        for frame in frames {
-            match serde_json::from_str::<WorkerMsg>(&frame) {
-                Ok(msg) => service.handle(&msg, sink)?,
-                Err(_) => service.note_corrupt_frames(1),
-            }
-        }
-        let assignments = service.tick(sink)?;
-        for (name, msg) in assignments {
-            let message = serde_json::to_string(&msg).expect("message serializes");
-            transport.send(&name, &message)?;
-        }
-        if !service.is_done() {
-            transport.pause();
-        }
-    }
-    let shutdown = serde_json::to_string(&ServerMsg::Shutdown).expect("message serializes");
-    transport.shutdown(&shutdown)?;
-    service.finish(sink)
-}
-
-/// The spool-directory [`Transport`]: the campaign spec is published as
-/// `campaign.json`, worker messages are polled from each
-/// `workers/<name>/out.jsonl`, assignments are appended to
-/// `workers/<name>/in.jsonl`, and completion is broadcast as `Shutdown`
-/// messages plus a `shutdown` marker file.
-pub struct SpoolTransport {
-    config: SpoolConfig,
-    workers_dir: PathBuf,
-    cursors: BTreeMap<String, FrameCursor>,
-}
-
-impl SpoolTransport {
-    /// Prepares the spool directory (clearing any stale shutdown marker).
-    pub fn new(config: SpoolConfig) -> std::io::Result<Self> {
-        let workers_dir = config.dir.join("workers");
-        std::fs::create_dir_all(&workers_dir)?;
-        let _ = std::fs::remove_file(config.dir.join("shutdown"));
-        Ok(Self { config, workers_dir, cursors: BTreeMap::new() })
-    }
-}
-
-impl Transport for SpoolTransport {
-    fn publish(&mut self, campaign_json: &str) -> std::io::Result<()> {
-        std::fs::write(self.config.dir.join("campaign.json"), format!("{campaign_json}\n"))
-    }
-
-    fn poll(&mut self) -> (Vec<String>, u64) {
-        if let Ok(entries) = std::fs::read_dir(&self.workers_dir) {
-            for entry in entries.flatten() {
-                let Ok(name) = entry.file_name().into_string() else { continue };
-                self.cursors.entry(name.clone()).or_insert_with(|| {
-                    FrameCursor::new(self.workers_dir.join(&name).join("out.jsonl"), 0)
-                });
-            }
-        }
-        let mut frames = Vec::new();
-        let mut corrupt = 0u64;
-        for cursor in self.cursors.values_mut() {
-            let (polled, bad) = cursor.poll();
-            frames.extend(polled);
-            corrupt += bad;
-        }
-        (frames, corrupt)
-    }
-
-    fn send(&mut self, worker: &str, message: &str) -> std::io::Result<()> {
-        append_frame(&self.workers_dir.join(worker).join("in.jsonl"), message)
-    }
-
-    fn shutdown(&mut self, message: &str) -> std::io::Result<()> {
-        for name in self.cursors.keys() {
-            let _ = append_frame(&self.workers_dir.join(name).join("in.jsonl"), message);
-        }
-        std::fs::write(self.config.dir.join("shutdown"), b"done\n")
-    }
-
-    fn pause(&mut self) {
-        std::thread::sleep(self.config.poll);
-    }
-}
-
-/// Runs a [`CampaignService`] over a spool directory — a thin wrapper
-/// composing [`SpoolTransport`] with the generic [`serve_transport`] loop.
-pub fn serve_spool<S: Scenario + Serialize>(
-    service: &mut CampaignService<'_, S>,
-    spool: &SpoolConfig,
-    sink: &mut dyn ReportSink,
-) -> Result<ServiceSummary, CampaignError> {
-    let mut transport = SpoolTransport::new(spool.clone())?;
-    serve_transport(service, &mut transport, spool.max_polls, sink)
-}
-
-/// Runs one spool worker until the service broadcasts shutdown: polls
-/// `in.jsonl` for assignments, executes each unit, and appends raw results
-/// to `out.jsonl`. Returns the number of units it completed.
-///
-/// The worker persists its `in.jsonl` read offset to a `cursor` file
-/// *before* executing a batch: a worker killed mid-unit (the `worker.kill`
-/// fail point, or a real crash) will not replay the same assignment on
-/// respawn — the service's lease expiry re-issues the unit instead,
-/// which is what quarantines a genuinely poisonous unit rather than
-/// crash-looping one worker forever.
-pub fn run_spool_worker<S: Scenario>(
-    campaign: &Campaign<S>,
-    config: &SpoolWorkerConfig,
-) -> Result<u64, CampaignError> {
-    let prepared = prepare_scenarios(campaign)?;
-    let units = flatten_units(campaign, &prepared)?;
-    let worker_dir = config.dir.join("workers").join(&config.name);
-    std::fs::create_dir_all(&worker_dir)?;
-    let out_path = worker_dir.join("out.jsonl");
-    let cursor_path = worker_dir.join("cursor");
-    let offset =
-        std::fs::read_to_string(&cursor_path).ok().and_then(|s| s.trim().parse().ok()).unwrap_or(0);
-    let mut cursor = FrameCursor::new(worker_dir.join("in.jsonl"), offset);
-
-    let hello = WorkerMsg::Hello { worker: config.name.clone(), incarnation: config.incarnation };
-    append_frame(&out_path, &serde_json::to_string(&hello).expect("message serializes"))?;
-
-    let mut completed = 0u64;
-    for poll_index in 0..config.max_polls {
-        if config.dir.join("shutdown").exists() {
-            return Ok(completed);
-        }
-        if !ltds_core::failpoint::fire("worker.heartbeat.drop", poll_index) {
-            let heartbeat = WorkerMsg::Heartbeat {
-                worker: config.name.clone(),
-                incarnation: config.incarnation,
-            };
-            let line = serde_json::to_string(&heartbeat).expect("message serializes");
-            append_frame(&out_path, &line)?;
-        }
-        let (frames, _corrupt) = cursor.poll();
-        // Persist the cursor before executing: at-most-once delivery per
-        // incarnation, so a unit that kills this worker is not replayed
-        // from the spool on respawn.
-        std::fs::write(&cursor_path, format!("{}\n", cursor.offset))?;
-        let mut shutdown = false;
-        for frame in frames {
-            let Ok(msg) = serde_json::from_str::<ServerMsg>(&frame) else { continue };
-            match msg {
-                ServerMsg::Shutdown => shutdown = true,
-                ServerMsg::Assign { unit, lease } => {
-                    if unit as usize >= units.len() {
-                        continue;
-                    }
-                    // Announce the unit about to execute *before* any crash
-                    // can land: the durable append doubles as a liveness
-                    // signal during a long computation and lets the service
-                    // blame exactly this unit — not every queued lease — if
-                    // the worker dies mid-execution.
-                    let working = WorkerMsg::Working {
-                        worker: config.name.clone(),
-                        incarnation: config.incarnation,
-                        unit,
-                    };
-                    let line = serde_json::to_string(&working).expect("message serializes");
-                    append_frame(&out_path, &line)?;
-                    if ltds_core::failpoint::fire("worker.kill", unit) {
-                        eprintln!(
-                            "spool worker {}: failpoint worker.kill fired on unit {unit}",
-                            config.name
-                        );
-                        std::process::exit(EXIT_KILLED);
-                    }
-                    let raw =
-                        compute_unit_raw::<S>(&campaign.sweeps, &prepared, &units[unit as usize]);
-                    let done = WorkerMsg::Done {
-                        worker: config.name.clone(),
-                        incarnation: config.incarnation,
-                        unit,
-                        lease,
-                        result: raw,
-                    };
-                    let line = serde_json::to_string(&done).expect("message serializes");
-                    append_done_frame(&out_path, &line, unit)?;
-                    completed += 1;
-                }
-            }
-        }
-        if shutdown {
-            return Ok(completed);
-        }
-        std::thread::sleep(config.poll);
-    }
-    Err(CampaignError::Stalled { ticks: config.max_polls })
 }
 
 #[cfg(test)]
@@ -1483,49 +1114,6 @@ mod tests {
         assert_eq!(back, summary);
     }
 
-    #[test]
-    fn spool_roundtrip_matches_driver_and_tolerates_garbage() {
-        let campaign = campaign();
-        let reference = driver_reference(&campaign);
-        let dir = std::env::temp_dir().join(format!("ltds-spool-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(dir.join("workers").join("w0")).unwrap();
-        // A pre-existing garbage line in a worker's outbox must be counted
-        // and skipped, never trusted.
-        std::fs::write(dir.join("workers").join("w0").join("out.jsonl"), b"not a frame\n").unwrap();
-
-        let worker_campaign = campaign.clone();
-        let worker_dir = dir.clone();
-        let worker = std::thread::spawn(move || {
-            run_spool_worker(
-                &worker_campaign,
-                &SpoolWorkerConfig {
-                    dir: worker_dir,
-                    name: "w0".to_string(),
-                    incarnation: 0,
-                    poll: Duration::from_millis(1),
-                    max_polls: 20_000,
-                },
-            )
-        });
-
-        let mut service = CampaignService::new(campaign.clone(), ServiceConfig::default()).unwrap();
-        let mut sink = MemorySink::new();
-        let summary = serve_spool(
-            &mut service,
-            &SpoolConfig { dir: dir.clone(), poll: Duration::from_millis(1), max_polls: 20_000 },
-            &mut sink,
-        )
-        .unwrap();
-        let completed = worker.join().unwrap().unwrap();
-
-        assert_eq!(sink.to_jsonl(), reference);
-        assert_eq!(summary.units_done, summary.units_total);
-        assert!(summary.corrupt_frames >= 1, "planted garbage must be counted");
-        assert!(completed > 0, "the spool worker should have computed units");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Drives a service to completion by honestly executing every assignment
     /// as worker `name` at `incarnation`, announcing each unit first.
     fn drain_honestly(
@@ -1544,7 +1132,7 @@ mod tests {
             let assignments = service.tick(sink).unwrap();
             for (worker, msg) in assignments {
                 assert_eq!(worker, name);
-                let ServerMsg::Assign { unit, lease } = msg else { continue };
+                let ServerMsg::Assign { unit, lease } = msg;
                 let worker = name.to_string();
                 service
                     .handle(&WorkerMsg::Working { worker: worker.clone(), incarnation, unit }, sink)
@@ -1587,13 +1175,8 @@ mod tests {
         let hello = |inc: u64| WorkerMsg::Hello { worker: "w0".to_string(), incarnation: inc };
         service.handle(&hello(0), &mut sink).unwrap();
         let assigns = service.tick(&mut sink).unwrap();
-        let leases: Vec<(u64, u64)> = assigns
-            .iter()
-            .filter_map(|(_, msg)| match msg {
-                ServerMsg::Assign { unit, lease } => Some((*unit, *lease)),
-                ServerMsg::Shutdown => None,
-            })
-            .collect();
+        let leases: Vec<(u64, u64)> =
+            assigns.iter().map(|(_, ServerMsg::Assign { unit, lease })| (*unit, *lease)).collect();
         assert_eq!(leases.len(), 2, "expected two leases inflight, got {leases:?}");
         let (unit_a, lease_a) = leases[0];
         let unit_b = leases[1].0;
@@ -1668,7 +1251,7 @@ mod tests {
     #[test]
     fn stale_done_after_reconnect_commits_once_and_duplicates_are_dropped() {
         // A worker reconnects mid-unit, but its old incarnation's result
-        // still arrives (spool flush, kernel socket buffer). Units are pure
+        // still arrives (a kernel socket buffer drains late). Units are pure
         // and payloads canonical, so first-committed-wins: the stale result
         // commits, the re-executed one is dropped, and the stream is
         // byte-identical to the clean driver's.
@@ -1691,11 +1274,8 @@ mod tests {
             .unwrap();
         let assigns = service.tick(&mut sink).unwrap();
         let (unit_a, lease_a) = assigns
-            .iter()
-            .find_map(|(_, msg)| match msg {
-                ServerMsg::Assign { unit, lease } => Some((*unit, *lease)),
-                ServerMsg::Shutdown => None,
-            })
+            .first()
+            .map(|(_, ServerMsg::Assign { unit, lease })| (*unit, *lease))
             .expect("one lease issued");
         service
             .handle(
@@ -1747,5 +1327,338 @@ mod tests {
         assert_eq!(summary.duplicate_completions, 1);
         assert!(summary.quarantined.is_empty());
         assert_eq!(summary.expired_leases, 2, "the reconnect forfeits both inflight leases");
+    }
+
+    // -----------------------------------------------------------------
+    // Bounded model check of the lease state machine: every interleaving of
+    // worker messages and ticks up to a depth bound, for a 3-unit campaign
+    // and two workers. The search is stateless: each path is replayed from
+    // a fresh service, so the service needs no `Clone`.
+    // -----------------------------------------------------------------
+
+    /// One move of the explorer's adversary: a message from worker
+    /// `MC_WORKERS[worker]`, or a tick of the sim clock.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Hello { worker: usize, incarnation: u64 },
+        Heartbeat { worker: usize, incarnation: u64 },
+        Working { worker: usize, incarnation: u64, unit: usize },
+        Done { worker: usize, incarnation: u64, unit: usize },
+        Tick,
+    }
+
+    const MC_WORKERS: [&str; 2] = ["w0", "w1"];
+    const MC_MAX_INCARNATION: u64 = 2;
+    const MC_DEPTH: usize = 7;
+    /// Small windows so expiry, re-issue and quarantine all fit in the
+    /// depth bound; no backoff, so a lost unit is leasable on the next tick.
+    const MC_CONFIG: ServiceConfig = ServiceConfig {
+        lease_ticks: 3,
+        reissue_ticks: 2,
+        max_attempts: 2,
+        backoff_base_ticks: 0,
+        fallback_ticks: None,
+        max_inflight_per_worker: 2,
+    };
+    /// Ticks a fair worker gets to finish from any explored state: silent
+    /// holders lose their leases within `lease_ticks + 1` ticks, and the
+    /// fair worker completes two units per tick.
+    const MC_FAIR_TICKS: u64 = 10;
+
+    /// The campaign under check and what an honest fleet produces for it.
+    struct Model {
+        campaign: Campaign<ToyScenario>,
+        /// Each unit's raw result, as an honest worker reports it.
+        results: Vec<Value>,
+        /// Each unit's line of the driver's stream, newline included.
+        lines: Vec<String>,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            let campaign = Campaign {
+                name: "model-check".to_string(),
+                sweeps: Vec::new(),
+                scenarios: vec![ToyScenario { name: "toy".to_string(), seed: 5, shards: 3 }],
+            };
+            let prepared = prepare_scenarios(&campaign).unwrap();
+            let units = flatten_units(&campaign, &prepared).unwrap();
+            let results = units
+                .iter()
+                .map(|unit| compute_unit_raw::<ToyScenario>(&campaign.sweeps, &prepared, unit))
+                .collect();
+            let lines = driver_reference(&campaign).lines().map(|l| format!("{l}\n")).collect();
+            Self { campaign, results, lines }
+        }
+
+        /// The driver's stream restricted to `ordinals`.
+        fn stream(&self, ordinals: impl Iterator<Item = usize>) -> String {
+            ordinals.map(|u| self.lines[u].as_str()).collect()
+        }
+    }
+
+    /// A service replayed through a path, plus the explorer's own count of
+    /// blamed lease losses per unit: a lease lost while its unit was the
+    /// holder's announced `Working` unit.
+    struct Replay {
+        service: CampaignService<'static, ToyScenario>,
+        sink: MemorySink,
+        blamed: Vec<u32>,
+    }
+
+    fn replay(model: &Model, path: &[Step]) -> Replay {
+        let mut service = CampaignService::new(model.campaign.clone(), MC_CONFIG).unwrap();
+        let mut sink = MemorySink::new();
+        service.start(&mut sink).unwrap();
+        let mut r = Replay { service, sink, blamed: vec![0; model.results.len()] };
+        for &step in path {
+            apply(model, &mut r, step, path);
+        }
+        r
+    }
+
+    fn worker_entry<'s>(
+        service: &'s CampaignService<'_, ToyScenario>,
+        worker: usize,
+    ) -> Option<&'s WorkerEntry> {
+        service.workers.iter().find(|w| w.name == MC_WORKERS[worker])
+    }
+
+    fn apply(model: &Model, r: &mut Replay, step: Step, path: &[Step]) {
+        let s = &r.service;
+        // Every live lease before the step: its unit, issue time, and
+        // whether losing it is the unit's fault.
+        let leases: Vec<(usize, u64, bool)> = (0..s.states.len())
+            .filter_map(|unit| match s.states[unit] {
+                UnitState::Leased { issued_at, .. } => {
+                    let working = s.workers.iter().any(|w| w.working == Some(unit));
+                    Some((unit, issued_at, working))
+                }
+                _ => None,
+            })
+            .collect();
+        let bumped = match step {
+            Step::Hello { worker, incarnation }
+                if worker_entry(s, worker).is_some_and(|w| incarnation > w.incarnation) =>
+            {
+                Some(worker)
+            }
+            _ => None,
+        };
+        let message = match step {
+            Step::Tick => None,
+            Step::Hello { worker, incarnation } => {
+                Some(WorkerMsg::Hello { worker: MC_WORKERS[worker].to_string(), incarnation })
+            }
+            Step::Heartbeat { worker, incarnation } => {
+                Some(WorkerMsg::Heartbeat { worker: MC_WORKERS[worker].to_string(), incarnation })
+            }
+            Step::Working { worker, incarnation, unit } => Some(WorkerMsg::Working {
+                worker: MC_WORKERS[worker].to_string(),
+                incarnation,
+                unit: unit as u64,
+            }),
+            // The service ignores lease ids; results are the honest ones.
+            Step::Done { worker, incarnation, unit } => Some(WorkerMsg::Done {
+                worker: MC_WORKERS[worker].to_string(),
+                incarnation,
+                unit: unit as u64,
+                lease: 0,
+                result: model.results[unit].clone(),
+            }),
+        };
+        match message {
+            Some(msg) => r.service.handle(&msg, &mut r.sink).unwrap(),
+            None => {
+                r.service.tick(&mut r.sink).unwrap();
+            }
+        }
+
+        // A lease survives the step only as the same lease (same issue
+        // time) or by committing; a re-issue within a tick is a new lease.
+        for (unit, issued_at, working) in leases {
+            let kept = match r.service.states[unit] {
+                UnitState::Leased { issued_at: now, .. } => now == issued_at,
+                UnitState::Done => true,
+                UnitState::Pending { .. } | UnitState::Quarantined => false,
+            };
+            if !kept && working {
+                r.blamed[unit] += 1;
+            }
+        }
+        if let Some(worker) = bumped {
+            let w = worker_entry(&r.service, worker).unwrap();
+            assert!(
+                w.inflight.is_empty() && w.working.is_none(),
+                "a higher incarnation kept the old one's leases {w:?} after {path:?}"
+            );
+        }
+    }
+
+    /// Every move the adversary can make from `s`: any first hello, a
+    /// respawn at a higher incarnation, heartbeats at the current or a stale
+    /// incarnation, `Working`/`Done` for a held unit, a duplicate `Done` for
+    /// a finished unit, and a tick.
+    fn enabled(s: &CampaignService<'_, ToyScenario>) -> Vec<Step> {
+        let mut steps = vec![Step::Tick];
+        for worker in 0..MC_WORKERS.len() {
+            let entry = worker_entry(s, worker);
+            for incarnation in 0..=MC_MAX_INCARNATION {
+                let Some(w) = entry.filter(|w| incarnation <= w.incarnation) else {
+                    steps.push(Step::Hello { worker, incarnation });
+                    continue;
+                };
+                steps.push(Step::Heartbeat { worker, incarnation });
+                for &unit in &w.inflight {
+                    steps.push(Step::Working { worker, incarnation, unit });
+                    steps.push(Step::Done { worker, incarnation, unit });
+                }
+                for unit in 0..s.states.len() {
+                    if matches!(s.states[unit], UnitState::Done | UnitState::Quarantined) {
+                        steps.push(Step::Done { worker, incarnation, unit });
+                    }
+                }
+            }
+        }
+        steps
+    }
+
+    /// Everything that distinguishes one service state from another (lease
+    /// ids aside: the service never reads them back).
+    fn fingerprint(s: &CampaignService<'_, ToyScenario>) -> u64 {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        (s.clock, s.next, s.last_alive).hash(&mut h);
+        for state in &s.states {
+            match *state {
+                UnitState::Pending { attempts, eligible_at } => (0u8, attempts, eligible_at),
+                UnitState::Leased { attempts, issued_at } => (1, attempts, issued_at),
+                UnitState::Done => (2, 0, 0),
+                UnitState::Quarantined => (3, 0, 0),
+            }
+            .hash(&mut h);
+        }
+        for w in &s.workers {
+            (&w.name, w.incarnation, w.last_seen, &w.inflight, w.working, w.alive).hash(&mut h);
+        }
+        s.reorder.keys().collect::<Vec<_>>().hash(&mut h);
+        let m = &s.summary;
+        (m.units_done, m.workers_seen, m.expired_leases, m.reissues, m.duplicate_completions)
+            .hash(&mut h);
+        (m.bad_payloads, &m.quarantined).hash(&mut h);
+        h.finish()
+    }
+
+    fn check_invariants(model: &Model, r: &Replay, path: &[Step]) {
+        let s = &r.service;
+        // Type invariant: a leased unit has exactly one holder, no other
+        // unit has any, and a worker only announces a unit it holds.
+        for (unit, state) in s.states.iter().enumerate() {
+            let holders = s.workers.iter().filter(|w| w.inflight.contains(&unit)).count();
+            let leased = usize::from(matches!(state, UnitState::Leased { .. }));
+            assert_eq!(holders, leased, "unit {unit} {state:?} has {holders} holders: {path:?}");
+        }
+        for w in &s.workers {
+            assert!(w.working.is_none_or(|u| w.inflight.contains(&u)), "{w:?}: {path:?}");
+        }
+        // The released stream is the driver's, minus quarantined units.
+        let released = (0..s.next).filter(|&u| !matches!(s.states[u], UnitState::Quarantined));
+        assert_eq!(r.sink.to_jsonl(), model.stream(released), "stream diverged: {path:?}");
+        // Each unit commits at most once.
+        let done = s.states.iter().filter(|state| matches!(state, UnitState::Done)).count();
+        assert_eq!(s.summary.units_done, done as u64, "commit count: {path:?}");
+        // Only blamed losses count toward quarantine, and exactly
+        // `max_attempts` of them quarantine a unit.
+        for (unit, state) in s.states.iter().enumerate() {
+            match *state {
+                UnitState::Pending { attempts, .. } | UnitState::Leased { attempts, .. } => {
+                    assert_eq!(attempts, r.blamed[unit], "unit {unit} attempts: {path:?}");
+                    assert!(attempts < MC_CONFIG.max_attempts, "unit {unit} overdue: {path:?}");
+                }
+                UnitState::Quarantined => assert_eq!(
+                    r.blamed[unit], MC_CONFIG.max_attempts,
+                    "unit {unit} quarantined early or late: {path:?}"
+                ),
+                UnitState::Done => {}
+            }
+        }
+    }
+
+    /// Liveness: a fresh worker that heartbeats every tick and honestly
+    /// completes each assignment finishes the campaign within
+    /// [`MC_FAIR_TICKS`], whatever state the adversary left behind.
+    fn finishes_under_a_fair_worker(model: &Model, r: Replay, path: &[Step]) {
+        let Replay { mut service, mut sink, .. } = r;
+        let fair = || "fair".to_string();
+        service.handle(&WorkerMsg::Hello { worker: fair(), incarnation: 0 }, &mut sink).unwrap();
+        for _ in 0..MC_FAIR_TICKS {
+            if service.is_done() {
+                break;
+            }
+            for (worker, ServerMsg::Assign { unit, lease }) in service.tick(&mut sink).unwrap() {
+                if worker == fair() {
+                    let working = WorkerMsg::Working { worker: fair(), incarnation: 0, unit };
+                    service.handle(&working, &mut sink).unwrap();
+                    let result = model.results[unit as usize].clone();
+                    let done =
+                        WorkerMsg::Done { worker: fair(), incarnation: 0, unit, lease, result };
+                    service.handle(&done, &mut sink).unwrap();
+                }
+            }
+            service
+                .handle(&WorkerMsg::Heartbeat { worker: fair(), incarnation: 0 }, &mut sink)
+                .unwrap();
+        }
+        assert!(service.is_done(), "a fair worker could not finish after {path:?}");
+        let kept =
+            (0..model.lines.len()).filter(|&u| !service.summary.quarantined.contains(&(u as u64)));
+        assert_eq!(sink.to_jsonl(), model.stream(kept), "final stream diverged after {path:?}");
+    }
+
+    #[test]
+    fn bounded_model_check_of_the_lease_state_machine() {
+        let model = Model::new();
+        assert_eq!(model.results.len(), 3);
+        let started = std::time::Instant::now();
+        let mut seen = std::collections::HashSet::new();
+        let root = replay(&model, &[]);
+        check_invariants(&model, &root, &[]);
+        seen.insert(fingerprint(&root.service));
+        let (mut quarantine, mut duplicate, mut expiry, mut reissue, mut completion) =
+            (false, false, false, false, false);
+        let mut frontier: Vec<Vec<Step>> = vec![Vec::new()];
+        for _ in 0..MC_DEPTH {
+            let mut next = Vec::new();
+            for path in &frontier {
+                for step in enabled(&replay(&model, path).service) {
+                    let mut path = path.clone();
+                    path.push(step);
+                    let r = replay(&model, &path);
+                    check_invariants(&model, &r, &path);
+                    if !seen.insert(fingerprint(&r.service)) {
+                        continue;
+                    }
+                    let s = &r.service;
+                    quarantine |= !s.summary.quarantined.is_empty();
+                    duplicate |= s.summary.duplicate_completions > 0;
+                    expiry |= s.workers.iter().any(|w| !w.alive);
+                    reissue |= s.summary.reissues > 0;
+                    completion |= s.is_done();
+                    finishes_under_a_fair_worker(&model, r, &path);
+                    next.push(path);
+                }
+            }
+            frontier = next;
+        }
+        println!(
+            "lease state machine: {} distinct states to depth {MC_DEPTH} in {:.1?}",
+            seen.len(),
+            started.elapsed()
+        );
+        assert!(quarantine, "no explored path quarantined a unit");
+        assert!(duplicate, "no explored path completed a unit twice");
+        assert!(expiry, "no explored path expired a silent worker");
+        assert!(reissue, "no explored path re-issued a straggler");
+        assert!(completion, "no explored path finished the campaign");
     }
 }

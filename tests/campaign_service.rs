@@ -1,23 +1,16 @@
-//! Integration tests of the fault-tolerant campaign service: real spool
-//! directories with concurrent worker threads, and the deterministic chaos
-//! harness driving fleet scenarios — in every case the streamed report (and
-//! the merged fleet reports derived from it) must be byte-identical to the
-//! in-process driver's.
+//! Integration test of the fault-tolerant campaign service: the
+//! deterministic chaos harness driving fleet scenarios — the streamed
+//! report and the merged fleet reports derived from it must be
+//! byte-identical to the in-process driver's. `tests/campaign_tcp.rs`
+//! drives the same service over real sockets.
 
-mod common;
-
-use common::TempDir;
 use ltds::fleet::{FleetCampaign, FleetConfig, FleetReportCollector, FleetScenario, FleetTopology};
 use ltds::sim::campaign::{Campaign, CampaignDriver, MemorySink, SweepAxis, SweepSpec};
 use ltds::sim::config::SimConfig;
-use ltds::sim::service::{
-    run_spool_worker, serve_spool, CampaignService, ChaosScript, ServiceConfig, ServiceHarness,
-    SpoolConfig, SpoolWorkerConfig,
-};
-use std::time::Duration;
+use ltds::sim::service::{ChaosScript, ServiceConfig, ServiceHarness};
 
 /// A small mixed campaign (sweep points plus fleet shards), fast enough to
-/// run under several transports per test.
+/// run several times per test.
 fn small_campaign(seed: u64) -> FleetCampaign {
     let group = SimConfig::mirrored_disks(1_000.0, 5_000.0, 10.0, 10.0, Some(100.0), 1.0)
         .expect("valid group");
@@ -43,81 +36,6 @@ fn driver_reference(campaign: &FleetCampaign) -> String {
     let mut sink = MemorySink::new();
     CampaignDriver::new(campaign).threads(1).run(&mut sink).unwrap();
     sink.to_jsonl()
-}
-
-#[test]
-fn spool_transport_streams_byte_identically_for_any_fleet_size() {
-    let campaign = small_campaign(17);
-    let reference = driver_reference(&campaign);
-    for workers in [1usize, 2, 8] {
-        let dir = TempDir::new("service-spool");
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let campaign = campaign.clone();
-                let config = SpoolWorkerConfig {
-                    dir: dir.path().to_path_buf(),
-                    name: format!("w{w}"),
-                    incarnation: 0,
-                    poll: Duration::from_millis(1),
-                    max_polls: 120_000,
-                };
-                std::thread::spawn(move || run_spool_worker(&campaign, &config))
-            })
-            .collect();
-
-        let mut service = CampaignService::new(campaign.clone(), ServiceConfig::default()).unwrap();
-        let mut sink = MemorySink::new();
-        let spool = SpoolConfig {
-            dir: dir.path().to_path_buf(),
-            poll: Duration::from_millis(1),
-            max_polls: 120_000,
-        };
-        let summary = serve_spool(&mut service, &spool, &mut sink).unwrap();
-        for handle in handles {
-            handle.join().unwrap().unwrap();
-        }
-        assert_eq!(sink.to_jsonl(), reference, "{workers} spool worker(s) diverged");
-        assert_eq!(summary.units_done, summary.units_total);
-        assert_eq!(summary.workers_seen, workers as u64);
-        assert!(summary.quarantined.is_empty());
-    }
-}
-
-#[test]
-fn spool_service_tolerates_planted_garbage_frames() {
-    let campaign = small_campaign(23);
-    let reference = driver_reference(&campaign);
-    let dir = TempDir::new("service-garbage");
-    // A worker directory polluted before the worker starts: a non-frame
-    // line and a torn (newline-less, then completed-by-append) fragment.
-    let wdir = dir.join("workers").join("w0");
-    std::fs::create_dir_all(&wdir).unwrap();
-    std::fs::write(wdir.join("out.jsonl"), b"complete garbage line\ntorn-fragment").unwrap();
-
-    let worker_campaign = campaign.clone();
-    let config = SpoolWorkerConfig {
-        dir: dir.path().to_path_buf(),
-        name: "w0".to_string(),
-        incarnation: 0,
-        poll: Duration::from_millis(1),
-        max_polls: 120_000,
-    };
-    let worker = std::thread::spawn(move || run_spool_worker(&worker_campaign, &config));
-
-    let mut service = CampaignService::new(campaign.clone(), ServiceConfig::default()).unwrap();
-    let mut sink = MemorySink::new();
-    let spool = SpoolConfig {
-        dir: dir.path().to_path_buf(),
-        poll: Duration::from_millis(1),
-        max_polls: 120_000,
-    };
-    let summary = serve_spool(&mut service, &spool, &mut sink).unwrap();
-    worker.join().unwrap().unwrap();
-
-    assert_eq!(sink.to_jsonl(), reference);
-    assert_eq!(summary.units_done, summary.units_total);
-    // The garbage line and the glued torn fragment are both counted.
-    assert!(summary.corrupt_frames >= 2, "expected >= 2 corrupt frames, got {summary:?}");
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! in-process server, worker and subscriber threads over real loopback
 //! sockets. In every case the streamed report must be byte-identical to the
 //! in-process driver's — including across a server restart resumed from a
-//! warm cache directory, and with a registered worker that silently
-//! abandons its lease.
+//! warm cache directory, with a registered worker that silently abandons
+//! its lease, and with a worker whose frames arrive damaged.
 
 mod common;
 
@@ -13,18 +13,18 @@ use ltds::fleet::{FleetCampaign, FleetConfig, FleetScenario, FleetTopology, Shar
 use ltds::sim::campaign::{Campaign, CampaignDriver, MemorySink, SweepAxis, SweepSpec};
 use ltds::sim::config::SimConfig;
 use ltds::sim::net::{
-    run_tcp_worker, serve_tcp, submit_tcp, BackoffPolicy, ClientHello, NetServerMsg,
+    run_tcp_worker, serve_tcp, submit_tcp, BackoffPolicy, ClientHello, NetServerMsg, NetWorkerMsg,
     TcpServerConfig, TcpSubmitConfig, TcpWorkerConfig,
 };
 use ltds::sim::service::ServiceConfig;
 use ltds::sim::SweepCache;
 use serde_json::Value;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::Path;
 use std::time::Duration;
 
-/// The same small mixed campaign the spool-service tests run: sweep points
-/// plus fleet shards, fast enough for several fleets per test.
+/// The same small mixed campaign `tests/campaign_service.rs` runs: sweep
+/// points plus fleet shards, fast enough for several fleets per test.
 fn small_campaign(seed: u64) -> FleetCampaign {
     let group = SimConfig::mirrored_disks(1_000.0, 5_000.0, 10.0, 10.0, Some(100.0), 1.0)
         .expect("valid group");
@@ -339,5 +339,61 @@ fn silent_worker_is_evicted_and_the_fleet_recovers() {
         drop(fake);
         worker.join().unwrap().unwrap();
         server.join().unwrap().unwrap();
+    });
+}
+
+#[test]
+fn damaged_worker_frames_are_counted_and_never_trusted() {
+    let campaign = small_campaign(23);
+    let reference = driver_reference(&campaign);
+    let spec = spec_value(&campaign);
+    let dir = TempDir::new("tcp-garbage");
+    let addr_path = dir.join("addr");
+
+    std::thread::scope(|scope| {
+        let config = server_config(&addr_path);
+        let server = scope.spawn(move || serve_tcp::<FleetScenario>(&config, None, None));
+        let addr = wait_addr(&addr_path);
+
+        // Incarnation 0 of "w0" is a raw client: a worker hello, a line that
+        // is no frame at all, then a torn fragment that the next frame's
+        // bytes complete into one damaged line.
+        let frame = |payload: String| {
+            let mut frame = encode_framed(&payload).unwrap();
+            frame.push('\n');
+            frame
+        };
+        let hello = ClientHello::Worker { worker: "w0".to_string(), incarnation: 0 };
+        let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+        raw.write_all(frame(serde_json::to_string(&hello).unwrap()).as_bytes()).unwrap();
+        raw.write_all(b"complete garbage line\n").unwrap();
+        raw.write_all(b"torn-fragment").unwrap();
+        raw.write_all(frame(serde_json::to_string(&NetWorkerMsg::Heartbeat).unwrap()).as_bytes())
+            .unwrap();
+        // Hang up and wait for the server to close its side: by then it has
+        // read every byte above, before any tenant exists to lease to us.
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let mut unsolicited = Vec::new();
+        raw.read_to_end(&mut unsolicited).unwrap();
+        assert!(unsolicited.is_empty(), "the server sent a worker with no tenant something");
+
+        // The respawned w0 is honest; its bumped incarnation forfeits any
+        // lease the new tenant grants the dead one.
+        let wconfig = TcpWorkerConfig { incarnation: 1, ..worker_config(&addr, "w0") };
+        let worker = scope.spawn(move || run_tcp_worker::<FleetScenario>(&wconfig));
+
+        let mut out: Vec<u8> = Vec::new();
+        let summary = submit_tcp(&submit_config(&addr, 0), &spec, &mut out).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), reference, "damaged frames changed the stream");
+        assert_eq!(summary.units_done, summary.units_total);
+        assert!(summary.quarantined.is_empty());
+        let server_summary = server.join().unwrap().unwrap();
+        // The garbage line and the glued torn fragment are both counted.
+        assert!(
+            server_summary.corrupt_frames >= 2,
+            "expected >= 2 corrupt frames, got {server_summary:?}"
+        );
+        worker.join().unwrap().unwrap();
     });
 }

@@ -442,8 +442,8 @@ fn scheduler_determinism_digest_is_pinned() {
 
 /// Cache-compatibility guard for the redundancy-policy refactor: the
 /// [`ConfigDigest`] of every replicated-only `FleetConfig` must be exactly
-/// what it was before policies existed, or every shard cache and campaign
-/// spool on disk silently invalidates. The pins below were captured on the
+/// what it was before policies existed, or every shard cache on disk
+/// silently invalidates. The pins below were captured on the
 /// pre-policy tree for the same two fleets the report-digest test runs;
 /// `with_policy(Replicated { n })` must keep hitting them, and an
 /// erasure-coded policy must *miss* them (a new policy is a new config).
