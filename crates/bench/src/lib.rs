@@ -11,7 +11,12 @@
 //! cargo run -p ltds-bench --bin paper_experiments
 //! ```
 //!
-//! The `perfsmoke` binary times the canonical [`workloads`].
+//! The repository benchmark, its own package under `perfbench/`, times
+//! the canonical [`workloads`]:
+//!
+//! ```text
+//! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --workload study --seed 1
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,15 +1,14 @@
-//! Canonical performance workloads, shared by the `perfsmoke` binary, the
-//! experiments, the campaign and trace binaries and the repository
-//! benchmark, so that "the fleet-year benchmark" always means the same
-//! configuration everywhere numbers are reported.
+//! Canonical workloads, shared by the experiments, the campaign and trace
+//! binaries and the repository benchmark (`perfbench/`), so that "the
+//! fleet-year benchmark" always means the same configuration everywhere
+//! numbers are reported.
 
 use ltds_fleet::{
-    BurstProfile, FleetCampaign, FleetConfig, FleetScenario, FleetSim, FleetTopology,
-    RedundancyPolicy, RepairBandwidth,
+    BurstProfile, FleetCampaign, FleetConfig, FleetScenario, FleetTopology, RedundancyPolicy,
+    RepairBandwidth,
 };
 use ltds_sim::campaign::{Campaign, SweepAxis, SweepSpec};
 use ltds_sim::config::{DetectionModel, RareEventStrategy, SimConfig};
-use ltds_sim::monte_carlo::{MonteCarlo, MttdlEstimate};
 
 /// One year of an enterprise-grade 1 000-drive fleet (5 sites × 5 racks ×
 /// 5 nodes × 8 drives) carrying `groups` triplicated groups under the
@@ -97,8 +96,8 @@ pub fn e16_hybrid_fleet() -> FleetConfig {
 /// The erasure-coded twin of [`fleet_year`]: identical topology, group
 /// count and slot width (2-of-3 coding occupies three slots exactly as
 /// triplication does), but running through the banded kernel path with
-/// fragment-fan-in rebuilds. `fleet_year_ec_100k` vs `fleet_year_100k`
-/// therefore measures the policy machinery's overhead, not a bigger fleet.
+/// fragment-fan-in rebuilds. Comparing the two therefore measures the
+/// policy machinery's overhead, not a bigger fleet.
 pub fn fleet_year_ec(groups: usize) -> FleetConfig {
     fleet_year(groups).with_policy(RedundancyPolicy::ErasureCoded { k: 2, n: 3 })
 }
@@ -146,16 +145,6 @@ pub fn mc_group() -> SimConfig {
     SimConfig::mirrored_disks(1_000.0, 5_000.0, 10.0, 10.0, Some(100.0), 1.0).expect("valid config")
 }
 
-/// The draw-heaviest Monte-Carlo shape: a correlated mirror (`α = 0.5`)
-/// explicitly pinned to the ziggurat discipline. Every fault accelerates
-/// and resamples the surviving replica, so exponential draws dominate the
-/// per-trial cost — the workload that isolates the sampler itself.
-pub fn mc_ziggurat_group() -> SimConfig {
-    SimConfig::mirrored_disks(1_000.0, 5_000.0, 10.0, 10.0, Some(100.0), 0.5)
-        .expect("valid config")
-        .with_draw(ltds_sim::DrawDiscipline::Ziggurat)
-}
-
 /// Canonical importance tilt for the rare-event workloads: strong enough
 /// that the pinned rare config loses data in a healthy fraction of tilted
 /// trials, mild enough that the likelihood-ratio weights stay tame (loss
@@ -173,28 +162,6 @@ pub fn mc_rare_group() -> SimConfig {
         .with_max_hours(ltds_core::units::HOURS_PER_YEAR)
 }
 
-/// The importance-sampled twin of [`mc_rare_group`], at the canonical
-/// [`RARE_TILT`]. Identical system, identical mission — only the sampling
-/// measure differs.
-pub fn mc_rare_is_group() -> SimConfig {
-    mc_rare_group().with_strategy(RareEventStrategy::ImportanceSampling { tilt: RARE_TILT })
-}
-
-/// Runs the canonical fleet-year workload once and returns its report.
-pub fn run_fleet_year(groups: usize) -> ltds_fleet::FleetReport {
-    FleetSim::new(fleet_year(groups)).seed(1).run().expect("fleet run succeeds")
-}
-
-/// Runs the erasure-coded fleet-year workload once and returns its report.
-pub fn run_fleet_year_ec(groups: usize) -> ltds_fleet::FleetReport {
-    FleetSim::new(fleet_year_ec(groups)).seed(1).run().expect("fleet run succeeds")
-}
-
-/// Runs the canonical 10k-trial Monte-Carlo workload once.
-pub fn run_mc_10k() -> MttdlEstimate {
-    MonteCarlo::new(mc_group()).trials(10_000).seed(1).run()
-}
-
 /// Trial budget of each point in the canonical scrub-period sweep — small
 /// enough that a grid runs in tens of milliseconds, large enough that the
 /// per-point Monte-Carlo cost dwarfs cache bookkeeping.
@@ -210,22 +177,12 @@ pub fn sweep_grid() -> Vec<f64> {
     (0..12).map(|i| lo * (hi / lo).powf(i as f64 / 11.0)).collect()
 }
 
-/// The refined 16-point grid: the canonical grid with its axis extended by
-/// four coarser points (a strict superset, appended so shared points keep
-/// their grid indices — and therefore their derived seeds).
-pub fn sweep_grid_refined() -> Vec<f64> {
-    let mut grid = sweep_grid();
-    grid.extend([3_000.0, 4_500.0, 6_750.0, 10_000.0]);
-    grid
-}
-
 /// The canonical demo campaign: three named sweeps over the canonical
-/// Monte-Carlo group (the scrub-period grid shared with `sweep_16_cold`,
-/// a replication sweep under correlation, an α sweep) plus one fleet
-/// scenario — a 16-shard year of the 10k-group enterprise fleet. Used by
-/// the `campaign` binary's `--builtin demo` spec, the `campaign_resume`
-/// perfsmoke workload, and the CI persistence job, so "the demo campaign"
-/// is the same work everywhere it is reported.
+/// Monte-Carlo group (the scrub-period grid, a replication sweep under
+/// correlation, an α sweep) plus one fleet scenario — a 16-shard year of
+/// the 10k-group enterprise fleet. Used by the `campaign` binary's
+/// `--builtin demo` spec, the repository benchmark and the CI persistence
+/// job, so "the demo campaign" is the same work everywhere it is reported.
 pub fn demo_campaign() -> FleetCampaign {
     Campaign {
         name: "demo".to_string(),
@@ -297,6 +254,8 @@ pub fn demo_rare_campaign(strategy: RareEventStrategy) -> FleetCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltds_fleet::FleetSim;
+    use ltds_sim::monte_carlo::MonteCarlo;
 
     #[test]
     fn canonical_workloads_are_valid() {
@@ -319,6 +278,21 @@ mod tests {
     }
 
     #[test]
+    fn erasure_coded_year_simulates_at_most_1_3x_the_replicated_events() {
+        // Same fleet, same seed, only the policy differs: the banded path
+        // must not multiply the events the kernel handles (40 320 coded vs
+        // 40 316 replicated). Per-event cost is timed by the repository
+        // benchmark's `fleet` workload, which runs both designs.
+        let events = |config| FleetSim::new(config).seed(1).run().unwrap().totals.events;
+        let replicated = events(fleet_year(100_000));
+        let coded = events(fleet_year_ec(100_000));
+        assert!(
+            coded as f64 <= 1.3 * replicated as f64,
+            "EC year simulated {coded} events vs {replicated} replicated"
+        );
+    }
+
+    #[test]
     fn rare_workload_is_genuinely_rare_for_vanilla_and_common_when_tilted() {
         let vanilla = MonteCarlo::new(mc_rare_group()).trials(4_000).seed(1).run();
         assert!(
@@ -326,7 +300,9 @@ mod tests {
             "the rare config must censor >99.9% of vanilla trials, got {}",
             vanilla.censoring_fraction()
         );
-        let tilted = MonteCarlo::new(mc_rare_is_group()).trials(4_000).seed(1).run();
+        let tilted_config = mc_rare_group()
+            .with_strategy(RareEventStrategy::ImportanceSampling { tilt: RARE_TILT });
+        let tilted = MonteCarlo::new(tilted_config).trials(4_000).seed(1).run();
         assert!(
             tilted.completed_trials > 100,
             "the canonical tilt should surface hundreds of losses, got {}",
@@ -357,15 +333,5 @@ mod tests {
             back.sweeps[0].base.strategy,
             RareEventStrategy::ImportanceSampling { tilt: RARE_TILT }
         );
-    }
-
-    #[test]
-    fn refined_sweep_grid_is_a_strict_prefix_superset() {
-        let grid = sweep_grid();
-        let refined = sweep_grid_refined();
-        assert_eq!(grid.len(), 12);
-        assert_eq!(refined.len(), 16);
-        assert_eq!(&refined[..grid.len()], &grid[..], "shared points must keep their indices");
-        assert!(refined.windows(2).all(|w| w[0] < w[1]), "grid must be strictly increasing");
     }
 }

@@ -326,33 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn run_streamed_delivers_every_shard_in_order_with_the_same_report() {
-        let scenario = scenario();
-        let cold = FleetSim::new(scenario.fleet).seed(scenario.seed).run().unwrap();
-
-        let cache = ShardCache::new();
-        let mut seen: Vec<u32> = Vec::new();
-        let mut merged = ShardOutcome::default();
-        let streamed = FleetSim::new(scenario.fleet)
-            .seed(scenario.seed)
-            .run_streamed(&cache, |shard, outcome| {
-                seen.push(shard);
-                merged.merge(outcome);
-            })
-            .unwrap();
-        assert_eq!(seen, (0..scenario.fleet.shards as u32).collect::<Vec<_>>());
-        assert_eq!(
-            serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&cold).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&merged).unwrap(),
-            serde_json::to_string(&cold.totals).unwrap(),
-            "streamed outcomes must merge to the report's totals"
-        );
-    }
-
-    #[test]
     fn report_collector_tees_and_merges_bit_identically_to_the_engine() {
         let scenario = scenario();
         let engine = FleetSim::new(scenario.fleet).seed(scenario.seed).run().unwrap();

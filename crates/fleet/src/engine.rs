@@ -24,19 +24,12 @@ use ltds_core::error::ModelError;
 use ltds_sim::cache::{CacheKey, ConfigDigest, SweepCache};
 use ltds_stochastic::{parallel_ranges, SimRng};
 use ltds_telemetry::{
-    RunTrace, ShardParams, ShardTelemetry, ShardTrace, TelemetryConfig, TraceMeta, TRACE_SCHEMA,
+    RunTrace, ShardParams, ShardTelemetry, TelemetryConfig, TraceMeta, TRACE_SCHEMA,
 };
 
 /// A content-addressed cache of per-shard fleet outcomes, keyed by
 /// `(FleetConfig digest, seed, shard)`. See [`FleetSim::run_cached`].
 pub type ShardCache = SweepCache<ShardOutcome>;
-
-/// Per-shard streaming callback, as accepted by [`FleetSim::run_streamed`].
-type OnShard<'a> = &'a mut dyn FnMut(u32, &ShardOutcome);
-
-/// Per-shard streaming callback of the traced path, as accepted by
-/// [`FleetSim::run_traced_streamed`].
-type OnShardTraced<'a> = &'a mut dyn FnMut(u32, &ShardOutcome, &ShardTrace);
 
 /// RNG sub-stream index reserved for the burst timeline (group shards use
 /// `0..shards`, which never collides with this). Shared with
@@ -98,7 +91,7 @@ impl FleetSim {
 
     /// Runs the simulation.
     pub fn run(&self) -> Result<FleetReport, ModelError> {
-        self.run_impl(None, None)
+        self.run_impl(None)
     }
 
     /// Runs the simulation through a shard cache: shards whose
@@ -110,20 +103,7 @@ impl FleetSim {
     /// When every shard hits, the run also skips building the placement
     /// index, leaving only the (cheap) burst-timeline draw and the merge.
     pub fn run_cached(&self, cache: &ShardCache) -> Result<FleetReport, ModelError> {
-        self.run_impl(Some(cache), None)
-    }
-
-    /// Like [`FleetSim::run_cached`], but also streams every shard's
-    /// outcome — in shard order, cached and fresh alike — to `on_shard`
-    /// during the merge, so callers (report sinks, campaign drivers) can
-    /// consume per-shard results without waiting for, or re-deriving, the
-    /// merged report.
-    pub fn run_streamed(
-        &self,
-        cache: &ShardCache,
-        mut on_shard: impl FnMut(u32, &ShardOutcome),
-    ) -> Result<FleetReport, ModelError> {
-        self.run_impl(Some(cache), Some(&mut on_shard))
+        self.run_impl(Some(cache))
     }
 
     /// Runs the simulation with telemetry enabled, returning the report
@@ -135,23 +115,6 @@ impl FleetSim {
     /// sinks are merged in shard order, so the trace (and its JSONL
     /// export) is byte-identical for any thread count.
     pub fn run_traced(&self) -> Result<(FleetReport, RunTrace), ModelError> {
-        self.run_traced_impl(None)
-    }
-
-    /// Like [`FleetSim::run_traced`], but also streams every shard's
-    /// outcome and trace — in shard order — to `on_shard` during the
-    /// merge, mirroring [`FleetSim::run_streamed`].
-    pub fn run_traced_streamed(
-        &self,
-        mut on_shard: impl FnMut(u32, &ShardOutcome, &ShardTrace),
-    ) -> Result<(FleetReport, RunTrace), ModelError> {
-        self.run_traced_impl(Some(&mut on_shard))
-    }
-
-    fn run_traced_impl(
-        &self,
-        mut on_shard: Option<OnShardTraced<'_>>,
-    ) -> Result<(FleetReport, RunTrace), ModelError> {
         self.config.validate()?;
         let master = SimRng::seed_from(self.seed);
         let mut burst_rng = master.fork(BURST_STREAM);
@@ -197,10 +160,7 @@ impl FleetSim {
         // `0..shards`.
         let mut totals = ShardOutcome::default();
         let mut shard_traces = Vec::with_capacity(shards);
-        for (shard, (outcome, trace)) in per_worker.into_iter().flatten().enumerate() {
-            if let Some(on_shard) = on_shard.as_deref_mut() {
-                on_shard(shard as u32, &outcome, &trace);
-            }
+        for (outcome, trace) in per_worker.into_iter().flatten() {
             totals.merge(&outcome);
             shard_traces.push(trace);
         }
@@ -227,11 +187,7 @@ impl FleetSim {
         Ok((report, trace))
     }
 
-    fn run_impl(
-        &self,
-        cache: Option<&ShardCache>,
-        mut on_shard: Option<OnShard<'_>>,
-    ) -> Result<FleetReport, ModelError> {
+    fn run_impl(&self, cache: Option<&ShardCache>) -> Result<FleetReport, ModelError> {
         self.config.validate()?;
         let master = SimRng::seed_from(self.seed);
 
@@ -296,12 +252,8 @@ impl FleetSim {
 
         // Merge strictly in shard order, wherever each outcome came from.
         let mut totals = ShardOutcome::default();
-        for (shard, outcome) in outcomes.iter().enumerate() {
-            let outcome = outcome.as_ref().expect("every shard was simulated or cached");
-            if let Some(on_shard) = on_shard.as_deref_mut() {
-                on_shard(shard as u32, outcome);
-            }
-            totals.merge(outcome);
+        for outcome in &outcomes {
+            totals.merge(outcome.as_ref().expect("every shard was simulated or cached"));
         }
 
         Ok(FleetReport {
@@ -441,20 +393,6 @@ mod tests {
                 .unwrap();
             assert_eq!(t.to_jsonl(), jsonl, "{threads} threads must export identical bytes");
         }
-        // The streamed variant walks shards in order with the same data.
-        let mut seen = Vec::new();
-        let (_, streamed) = FleetSim::new(config)
-            .seed(5)
-            .threads(4)
-            .telemetry(telemetry)
-            .run_traced_streamed(|shard, outcome, trace| {
-                seen.push((shard, outcome.losses, trace.summary.losses));
-            })
-            .unwrap();
-        assert_eq!(streamed.to_jsonl(), jsonl);
-        assert_eq!(seen.len(), config.shards);
-        assert!(seen.windows(2).all(|w| w[0].0 < w[1].0), "streamed in shard order");
-        assert!(seen.iter().all(|&(_, losses, traced)| losses == traced));
     }
 
     #[test]

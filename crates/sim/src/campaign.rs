@@ -16,8 +16,8 @@
 //! Three properties compose into cheap restarts:
 //!
 //! * every unit is a pure function of its key, so the driver consults (and
-//!   fills) the same content-addressed caches as `SweepDriver` and
-//!   `FleetSim::run_cached`;
+//!   fills) content-addressed caches (fleet shards share theirs with
+//!   `FleetSim::run_cached`);
 //! * those caches persist ([`SweepCache::write_through`]), so a killed
 //!   campaign leaves its completed units on disk;
 //! * the streamed report is deterministic, so re-running the campaign from
@@ -43,28 +43,25 @@ use std::sync::mpsc;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SweepAxis {
     /// Scrub period in hours for a mirrored pair (`f64::INFINITY` = never
-    /// scrub), as [`crate::sweep::SweepDriver::scrub_period`].
+    /// scrub).
     ScrubPeriod {
         /// The grid of scrub periods, in hours.
         periods_hours: Vec<f64>,
     },
-    /// Replica count at a fixed correlation factor, as
-    /// [`crate::sweep::SweepDriver::replication`].
+    /// Replica count at a fixed correlation factor.
     Replication {
         /// The grid of replica counts.
         replica_counts: Vec<usize>,
         /// The correlation factor applied at every count.
         alpha: f64,
     },
-    /// Correlation factor at a fixed configuration, as
-    /// [`crate::sweep::SweepDriver::alpha`].
+    /// Correlation factor at a fixed configuration.
     Alpha {
         /// The grid of correlation factors.
         alphas: Vec<f64>,
     },
-    /// Redundancy policy at otherwise fixed parameters, as
-    /// [`crate::sweep::SweepDriver::policy`]. The swept `x` value is each
-    /// policy's storage overhead (`fragments / min_fragments`), so
+    /// Redundancy policy at otherwise fixed parameters. The swept `x` value
+    /// is each policy's storage overhead (`fragments / min_fragments`), so
     /// replication and erasure coding land on a comparable axis.
     Policy {
         /// The grid of redundancy policies.
@@ -98,9 +95,9 @@ impl SweepAxis {
         }
     }
 
-    /// Builds the configuration for grid index `i`, with semantics
-    /// identical to the corresponding `SweepDriver` method (so campaign
-    /// points and driver points share cache entries).
+    /// Builds the configuration for grid index `i`: the base's fault and
+    /// repair parameters with the axis value applied, keeping its mission
+    /// length, draw discipline and rare-event strategy.
     fn config_at(&self, base: &SimConfig, i: usize) -> Result<SimConfig, ModelError> {
         let config = match self {
             SweepAxis::ScrubPeriod { periods_hours } => {
@@ -471,7 +468,7 @@ pub struct CampaignDriver<'a, S: Scenario> {
 }
 
 // All fields are references or small scalars, so the driver is freely
-// copyable like `SweepDriver` (derive would demand `S: Copy`).
+// copyable (derive would demand `S: Copy`).
 impl<S: Scenario> Clone for CampaignDriver<'_, S> {
     fn clone(&self) -> Self {
         *self
@@ -580,8 +577,10 @@ impl<'a, S: Scenario> CampaignDriver<'a, S> {
         self
     }
 
-    /// Memoises sweep grid points through `cache` (shared with
-    /// `SweepDriver` sweeps over the same configurations).
+    /// Memoises sweep grid points through `cache`: a point whose
+    /// `(config, trials)` digest and derived seed are already cached is
+    /// streamed bit-identically instead of re-simulated, so a superset grid
+    /// costs only its new points.
     pub fn point_cache(mut self, cache: &'a SweepCache<MttdlEstimate>) -> Self {
         self.point_cache = Some(cache);
         self
@@ -783,7 +782,6 @@ pub(crate) fn compute_unit_raw<S: Scenario>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepDriver;
     use std::sync::atomic::AtomicBool;
     use std::sync::{Arc, Mutex};
 
@@ -891,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_axis_executes_and_matches_the_sweep_driver() {
+    fn policy_axis_executes_and_matches_direct_monte_carlo() {
         use crate::config::RedundancyPolicy;
         let policies = vec![
             RedundancyPolicy::Replicated { n: 2 },
@@ -913,25 +911,19 @@ mod tests {
         let back: SweepCampaign = serde_json::from_str(&json).unwrap();
         assert_eq!(back.sweeps[0].axis, campaign.sweeps[0].axis);
 
-        // Campaign points carry the storage-overhead x and agree with the
-        // direct SweepDriver sweep (same configs, same seeds — so the two
-        // paths also share cache entries).
+        // Campaign points carry the storage-overhead x and the estimate of
+        // the policy's config run directly at the derived seed.
         let mut sink = MemorySink::new();
         CampaignDriver::new(&campaign).threads(2).run(&mut sink).unwrap();
-        let spec_base = base();
-        let direct = SweepDriver::new(&spec_base, 100, 9).threads(1).policy(&policies).unwrap();
-        assert_eq!(direct[0].x, 2.0, "Replicated {{ n: 2 }} stores 2x");
-        assert_eq!(direct[1].x, 3.0, "EC {{ k: 2, n: 6 }} stores 3x");
-        let streamed: Vec<crate::sweep::SweepPoint> = sink
-            .records()
-            .iter()
-            .filter(|r| r.kind == RecordKind::SweepPoint)
-            .map(|r| crate::sweep::SweepPoint::from_value(&r.payload).unwrap())
-            .collect();
+        let streamed: Vec<SweepPoint> =
+            sink.records().iter().map(|r| SweepPoint::from_value(&r.payload).unwrap()).collect();
         assert_eq!(streamed.len(), 2);
-        for (a, b) in streamed.iter().zip(&direct) {
-            assert_eq!(a.x, b.x);
-            assert_eq!(a.mttdl_hours.to_bits(), b.mttdl_hours.to_bits());
+        assert_eq!(streamed[0].x, 2.0, "Replicated {{ n: 2 }} stores 2x");
+        assert_eq!(streamed[1].x, 3.0, "EC {{ k: 2, n: 6 }} stores 3x");
+        for (i, (point, policy)) in streamed.iter().zip(&policies).enumerate() {
+            let config = base().with_policy(*policy);
+            let direct = MonteCarlo::new(config).trials(100).seed(9 + i as u64).threads(1).run();
+            assert_eq!(point.mttdl_hours.to_bits(), direct.mttdl_hours.estimate.to_bits());
         }
     }
 
@@ -983,33 +975,60 @@ mod tests {
     }
 
     #[test]
-    fn campaign_points_share_cache_entries_with_sweep_driver() {
+    fn campaign_points_match_direct_monte_carlo_runs() {
+        // Point `i` is its grid config run on one thread at seed `seed + i`,
+        // keyed by that request's digest.
         let campaign = sweep_campaign();
-        let cache = SweepCache::new();
-        // Warm the cache through the classic SweepDriver at one thread.
+        let mut sink = MemorySink::new();
+        CampaignDriver::new(&campaign).threads(2).run(&mut sink).unwrap();
         let spec = &campaign.sweeps[0];
         let SweepAxis::ScrubPeriod { periods_hours } = &spec.axis else { unreachable!() };
-        let driver_points = SweepDriver::new(&spec.base, spec.trials, spec.seed)
-            .threads(1)
-            .cache(&cache)
-            .scrub_period(periods_hours)
-            .unwrap();
-        cache.reset_counters();
-
-        let mut sink = MemorySink::new();
-        let summary =
-            CampaignDriver::new(&campaign).threads(2).point_cache(&cache).run(&mut sink).unwrap();
-        assert_eq!(
-            summary.cache_hits,
-            periods_hours.len() as u64,
-            "the sweep the driver already ran must hit"
-        );
-        // And the streamed points are bit-identical to the driver's.
-        for (record, point) in sink.records().iter().zip(&driver_points) {
+        for (i, (record, &period)) in sink.records().iter().zip(periods_hours).enumerate() {
+            let scrub = period.is_finite().then_some(period);
+            let config = SimConfig::mirrored_disks(2000.0, 2000.0, 5.0, 5.0, scrub, 1.0).unwrap();
+            let seed = spec.seed + i as u64;
+            let direct = MonteCarlo::new(config).trials(spec.trials).seed(seed).threads(1).run();
+            let digest = PointRequest::new(config, spec.trials).config_digest();
+            assert_eq!(record.key, CacheKey { digest, seed, shard: 0 });
             let streamed = SweepPoint::from_value(&record.payload).unwrap();
-            assert_eq!(streamed.mttdl_hours.to_bits(), point.mttdl_hours.to_bits());
-            assert_eq!(streamed.ci_half_width.to_bits(), point.ci_half_width.to_bits());
+            assert_eq!(streamed.x.to_bits(), period.to_bits());
+            assert_eq!(streamed.mttdl_hours.to_bits(), direct.mttdl_hours.estimate.to_bits());
+            assert_eq!(streamed.ci_half_width.to_bits(), direct.mttdl_hours.half_width().to_bits());
         }
+    }
+
+    #[test]
+    fn point_cache_key_digest_is_pinned() {
+        // Persisted point caches are keyed by this digest of
+        // `(config, trials, threads: Some(1))`: a drift in that encoding
+        // would orphan every cache on disk.
+        let mut sink = MemorySink::new();
+        CampaignDriver::new(&sweep_campaign()).max_units(1).run(&mut sink).unwrap();
+        assert_eq!(
+            sink.records()[0].key,
+            CacheKey { digest: 11_195_579_810_558_385_184, seed: 7, shard: 0 }
+        );
+    }
+
+    #[test]
+    fn cache_keys_trials_and_seed_but_not_threads() {
+        let cache = SweepCache::new();
+        let run = |trials: u64, seed: u64, threads: usize| {
+            let mut campaign = sweep_campaign();
+            campaign.sweeps.truncate(1);
+            campaign.sweeps[0].trials = trials;
+            campaign.sweeps[0].seed = seed;
+            let driver = CampaignDriver::new(&campaign).threads(threads).point_cache(&cache);
+            driver.run(&mut MemorySink::new()).unwrap()
+        };
+        run(200, 1, 1);
+        run(300, 1, 1);
+        run(200, 9, 1);
+        assert_eq!(cache.len(), 9, "trials and seed must key separately");
+        assert_eq!(cache.hits(), 0);
+        let summary = run(200, 1, 2);
+        assert_eq!(cache.len(), 9, "the thread count must not key separately");
+        assert_eq!(summary.cache_hits, 3);
     }
 
     #[test]
@@ -1151,9 +1170,14 @@ mod tests {
         let err = CampaignDriver::new(&campaign).run(&mut MemorySink::new());
         assert!(matches!(err, Err(CampaignError::Model(_))));
 
-        let mut campaign = sweep_campaign();
-        campaign.sweeps[1].axis = SweepAxis::Replication { replica_counts: vec![0], alpha: 1.0 };
-        let err = CampaignDriver::new(&campaign).run(&mut MemorySink::new());
-        assert!(matches!(err, Err(CampaignError::Model(_))));
+        for axis in [
+            SweepAxis::Replication { replica_counts: vec![0], alpha: 1.0 },
+            SweepAxis::Alpha { alphas: vec![0.0] },
+        ] {
+            let mut campaign = sweep_campaign();
+            campaign.sweeps[1].axis = axis;
+            let err = CampaignDriver::new(&campaign).run(&mut MemorySink::new());
+            assert!(matches!(err, Err(CampaignError::Model(_))));
+        }
     }
 }

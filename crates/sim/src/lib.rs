@@ -15,14 +15,16 @@
 //!   and repair parameters, scrub schedule, correlation, loss threshold);
 //! * [`trial`] — one trial: run the system forward until data loss;
 //! * [`monte_carlo`] — many trials across threads, with estimators;
-//! * [`sweep`] — parameter sweeps producing the series used by experiments;
+//! * [`sweep`] — the grid point every campaign sweep streams, and the
+//!   request its cache identity is digested from;
 //! * [`cache`] — content-addressed memoisation of sweep points (and, via
 //!   `ltds-fleet`, per-shard fleet outcomes) so refining a grid reuses
 //!   every point already simulated — persistable to a directory of
 //!   checksummed JSON-lines segments, so the reuse survives restarts;
-//! * [`campaign`] — many related sweeps and fleet scenarios as one spec,
-//!   executed by a work-stealing worker pool with in-order incremental
-//!   report streaming;
+//! * [`campaign`] — parameter sweeps and fleet scenarios as one spec,
+//!   executed by [`CampaignDriver`]'s work-stealing worker pool with
+//!   in-order incremental report streaming (a one-sweep campaign is how a
+//!   single sweep runs);
 //! * [`service`] — the fault-tolerant form of the campaign driver: a
 //!   lease-based state machine dispatching units to crash-prone workers
 //!   (plus a deterministic in-process chaos harness) while keeping the

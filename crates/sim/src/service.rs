@@ -18,7 +18,9 @@
 //! * **Worker death** — a worker that stops heartbeating for
 //!   [`ServiceConfig::lease_ticks`] is marked dead and its leases re-issued;
 //!   a worker that comes back with a higher incarnation forfeits the old
-//!   incarnation's leases immediately.
+//!   incarnation's leases immediately. A message from an incarnation below
+//!   the registered one says nothing about the live worker: only a stale
+//!   `Done` has an effect, committing its (pure) result.
 //! * **Stragglers** — a lease older than [`ServiceConfig::reissue_ticks`]
 //!   is re-issued even if its holder still heartbeats.
 //! * **Duplicates** — units are pure functions of their keys and payloads
@@ -346,9 +348,8 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
                 self.release(sink)
             }
             WorkerMsg::Working { worker, incarnation, unit } => {
-                self.seen(worker, *incarnation);
-                let ordinal = *unit as usize;
-                if let Some(idx) = self.workers.iter().position(|w| w.name == *worker) {
+                if let Some(idx) = self.seen(worker, *incarnation) {
+                    let ordinal = *unit as usize;
                     if self.workers[idx].inflight.contains(&ordinal) {
                         self.workers[idx].working = Some(ordinal);
                     }
@@ -356,6 +357,7 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
                 self.release(sink)
             }
             WorkerMsg::Done { worker, incarnation, unit, result, .. } => {
+                // A stale incarnation's result still commits: units are pure.
                 self.seen(worker, *incarnation);
                 let ordinal = *unit as usize;
                 if ordinal >= self.units.len() {
@@ -463,10 +465,12 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
         Ok(out)
     }
 
-    /// Registers or refreshes a worker; a higher incarnation forfeits the
-    /// previous incarnation's leases.
-    fn seen(&mut self, worker: &str, incarnation: u64) {
+    /// Registers or refreshes a worker and returns its registry index; a
+    /// higher incarnation forfeits the previous incarnation's leases. A
+    /// stale incarnation touches nothing and gets `None`.
+    fn seen(&mut self, worker: &str, incarnation: u64) -> Option<usize> {
         match self.workers.iter().position(|w| w.name == worker) {
+            Some(idx) if incarnation < self.workers[idx].incarnation => None,
             Some(idx) => {
                 if incarnation > self.workers[idx].incarnation {
                     self.workers[idx].incarnation = incarnation;
@@ -479,6 +483,7 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
                 }
                 self.workers[idx].last_seen = self.clock;
                 self.workers[idx].alive = true;
+                Some(idx)
             }
             None => {
                 self.summary.workers_seen += 1;
@@ -490,6 +495,7 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
                     working: None,
                     alive: true,
                 });
+                Some(self.workers.len() - 1)
             }
         }
     }
@@ -938,6 +944,10 @@ mod tests {
             assert_eq!(summary.workers_seen, workers as u64);
             assert_eq!(summary.degraded_units, 0, "workers were live; no fallback expected");
             assert!(summary.quarantined.is_empty());
+            // Without chaos every unit runs exactly once.
+            assert_eq!(summary.cache_misses, summary.units_total);
+            let lost = (summary.expired_leases, summary.reissues, summary.duplicate_completions);
+            assert_eq!(lost, (0, 0, 0), "{workers} workers");
         }
     }
 
@@ -1349,7 +1359,6 @@ mod tests {
 
     const MC_WORKERS: [&str; 2] = ["w0", "w1"];
     const MC_MAX_INCARNATION: u64 = 2;
-    const MC_DEPTH: usize = 7;
     /// Small windows so expiry, re-issue and quarantine all fit in the
     /// depth bound; no backoff, so a lost unit is leasable on the next tick.
     const MC_CONFIG: ServiceConfig = ServiceConfig {
@@ -1445,6 +1454,21 @@ mod tests {
             }
             _ => None,
         };
+        // For a step from an incarnation below the registered one: the
+        // worker's liveness and blame, and every inflight list, as they were.
+        let stale = match step {
+            Step::Tick => None,
+            Step::Hello { worker, incarnation }
+            | Step::Heartbeat { worker, incarnation }
+            | Step::Working { worker, incarnation, .. }
+            | Step::Done { worker, incarnation, .. } => {
+                worker_entry(s, worker).filter(|w| incarnation < w.incarnation).map(|w| {
+                    let inflight: Vec<Vec<usize>> =
+                        s.workers.iter().map(|w| w.inflight.clone()).collect();
+                    (worker, w.alive, w.last_seen, w.working, inflight)
+                })
+            }
+        };
         let message = match step {
             Step::Tick => None,
             Step::Hello { worker, incarnation } => {
@@ -1493,12 +1517,29 @@ mod tests {
                 "a higher incarnation kept the old one's leases {w:?} after {path:?}"
             );
         }
+        // A stale step leaves the live worker's liveness and blame alone,
+        // and only a `Done` may take its own unit out of inflight lists.
+        if let Some((worker, alive, last_seen, working, inflight)) = stale {
+            let done = match step {
+                Step::Done { unit, .. } => Some(unit),
+                _ => None,
+            };
+            let w = worker_entry(&r.service, worker).unwrap();
+            assert_eq!((w.alive, w.last_seen), (alive, last_seen), "stale liveness: {path:?}");
+            let cleared = done.is_some() && working == done && w.working.is_none();
+            assert!(w.working == working || cleared, "stale step moved blame: {path:?}");
+            for (w, before) in r.service.workers.iter().zip(inflight) {
+                let kept: Vec<usize> = before.into_iter().filter(|&u| Some(u) != done).collect();
+                assert_eq!(w.inflight, kept, "stale step moved leases: {path:?}");
+            }
+        }
     }
 
     /// Every move the adversary can make from `s`: any first hello, a
     /// respawn at a higher incarnation, heartbeats at the current or a stale
-    /// incarnation, `Working`/`Done` for a held unit, a duplicate `Done` for
-    /// a finished unit, and a tick.
+    /// incarnation (the service handles a hello at those the same way),
+    /// `Working`/`Done` for a held unit, a duplicate `Done` for a finished
+    /// unit, and a tick.
     fn enabled(s: &CampaignService<'_, ToyScenario>) -> Vec<Step> {
         let mut steps = vec![Step::Tick];
         for worker in 0..MC_WORKERS.len() {
@@ -1615,8 +1656,10 @@ mod tests {
         assert_eq!(sink.to_jsonl(), model.stream(kept), "final stream diverged after {path:?}");
     }
 
-    #[test]
-    fn bounded_model_check_of_the_lease_state_machine() {
+    /// Breadth-first search over every path up to `depth` steps, checking
+    /// the invariants at every generated state and liveness from every
+    /// distinct one.
+    fn explore(depth: usize) {
         let model = Model::new();
         assert_eq!(model.results.len(), 3);
         let started = std::time::Instant::now();
@@ -1627,7 +1670,7 @@ mod tests {
         let (mut quarantine, mut duplicate, mut expiry, mut reissue, mut completion) =
             (false, false, false, false, false);
         let mut frontier: Vec<Vec<Step>> = vec![Vec::new()];
-        for _ in 0..MC_DEPTH {
+        for _ in 0..depth {
             let mut next = Vec::new();
             for path in &frontier {
                 for step in enabled(&replay(&model, path).service) {
@@ -1651,7 +1694,7 @@ mod tests {
             frontier = next;
         }
         println!(
-            "lease state machine: {} distinct states to depth {MC_DEPTH} in {:.1?}",
+            "lease state machine: {} distinct states to depth {depth} in {:.1?}",
             seen.len(),
             started.elapsed()
         );
@@ -1660,5 +1703,18 @@ mod tests {
         assert!(expiry, "no explored path expired a silent worker");
         assert!(reissue, "no explored path re-issued a straggler");
         assert!(completion, "no explored path finished the campaign");
+    }
+
+    #[test]
+    fn bounded_model_check_of_the_lease_state_machine() {
+        explore(7);
+    }
+
+    /// One step deeper than tier-1 affords; CI runs it in the release
+    /// profile with `--ignored`.
+    #[test]
+    #[ignore = "three times the states of depth 7; CI runs it in release"]
+    fn bounded_model_check_to_depth_8() {
+        explore(8);
     }
 }

@@ -1,17 +1,14 @@
-//! Parameter sweeps: regenerate the figure-style series of the paper by
-//! simulation.
+//! Sweep grid points: the record every campaign sweep streams, and the
+//! request each point's cache identity is digested from.
 //!
-//! [`SweepDriver`] is the configurable entry point: it fixes the trial
-//! budget, base seed and (optionally) an explicit worker-thread count for
-//! every grid point, and can memoise grid points through a
-//! [`SweepCache`] so that refining a grid — or re-running a sweep with one
-//! axis extended — simulates only the points it has not seen. The free
-//! functions are thin wrappers with the original signatures.
+//! Sweeps themselves run as campaigns: a [`crate::campaign::SweepSpec`]
+//! names a base configuration, a [`crate::campaign::SweepAxis`] and a trial
+//! budget, and [`crate::campaign::CampaignDriver`] simulates (or answers
+//! from a [`crate::cache::SweepCache`]) one [`SweepPoint`] per grid value,
+//! so refining a grid simulates only the points it has not seen.
 
-use crate::cache::{CacheKey, ConfigDigest, SweepCache};
 use crate::config::SimConfig;
-use crate::monte_carlo::{MonteCarlo, MttdlEstimate};
-use ltds_core::error::ModelError;
+use crate::monte_carlo::MttdlEstimate;
 use serde::{Deserialize, Serialize};
 
 /// One point of a sweep.
@@ -69,22 +66,10 @@ impl SweepPoint {
     }
 }
 
-/// Drives a family of Monte-Carlo runs over a parameter grid.
-#[derive(Debug, Clone, Copy)]
-pub struct SweepDriver<'a> {
-    base: &'a SimConfig,
-    trials: u64,
-    seed: u64,
-    threads: Option<usize>,
-    cache: Option<&'a SweepCache<MttdlEstimate>>,
-}
-
 /// Everything that determines a grid point's estimate, digested together
 /// into the point's cache identity. Estimates do not depend on the worker
-/// count, so every request digests `threads: Some(1)` — the encoding
-/// campaign points and earlier single-threaded sweeps were cached under —
-/// and a campaign and a `SweepDriver` sweep at any thread count address the
-/// same cache entries.
+/// count, so every request digests `threads: Some(1)`: the encoding that
+/// persisted point caches are keyed by, whatever thread count wrote them.
 #[derive(Serialize)]
 pub(crate) struct PointRequest {
     config: SimConfig,
@@ -99,197 +84,51 @@ impl PointRequest {
     }
 }
 
-impl<'a> SweepDriver<'a> {
-    /// Creates a driver over a base configuration, with the default worker
-    /// count (all available cores, resolved once per process).
-    pub fn new(base: &'a SimConfig, trials: u64, seed: u64) -> Self {
-        Self { base, trials, seed, threads: None, cache: None }
-    }
-
-    /// Overrides the worker-thread count for every grid point. Changes
-    /// wall-clock time only — estimates are bit-identical for any count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "at least one thread is required");
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Memoises grid points through `cache`: a point whose
-    /// `(config, trials)` digest and derived seed are already
-    /// cached is returned bit-identically instead of re-simulated, so a
-    /// superset grid costs only its new points. Sweeps sharing a cache may
-    /// run concurrently (the cache is thread-safe).
-    pub fn cache(mut self, cache: &'a SweepCache<MttdlEstimate>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Runs one grid point: point `i` gets the derived seed `seed + i`.
-    fn estimate(&self, config: SimConfig, i: usize) -> MttdlEstimate {
-        let seed = self.seed.wrapping_add(i as u64);
-        let key = self.cache.map(|cache| {
-            let digest = PointRequest::new(config, self.trials).config_digest();
-            let key = CacheKey { digest, seed, shard: 0 };
-            (cache, key)
-        });
-        if let Some((cache, key)) = key {
-            if let Some(estimate) = cache.get(&key) {
-                return estimate;
-            }
-        }
-        let mut mc = MonteCarlo::new(config).trials(self.trials).seed(seed);
-        if let Some(threads) = self.threads {
-            mc = mc.threads(threads);
-        }
-        let estimate = mc.run();
-        if let Some((cache, key)) = key {
-            cache.insert(key, estimate.clone());
-        }
-        estimate
-    }
-
-    fn point(x: f64, est: &MttdlEstimate) -> SweepPoint {
-        SweepPoint::from_estimate(x, est)
-    }
-
-    /// Sweeps the scrub period (hours) for a mirrored pair and reports the
-    /// simulated MTTDL at each point. A period of `f64::INFINITY` means
-    /// "never scrub".
-    pub fn scrub_period(&self, periods_hours: &[f64]) -> Result<Vec<SweepPoint>, ModelError> {
-        let base = self.base;
-        let mut out = Vec::with_capacity(periods_hours.len());
-        for (i, &period) in periods_hours.iter().enumerate() {
-            let scrub = if period.is_finite() { Some(period) } else { None };
-            let config = SimConfig::mirrored_disks(
-                base.mttf_visible_hours,
-                base.mttf_latent_hours,
-                base.repair_visible_hours,
-                base.repair_latent_hours,
-                scrub,
-                base.alpha,
-            )?
-            .with_max_hours(base.max_hours)
-            .with_draw(base.draw)
-            .with_strategy(base.strategy);
-            out.push(Self::point(period, &self.estimate(config, i)));
-        }
-        Ok(out)
-    }
-
-    /// Sweeps the replica count at a fixed correlation factor.
-    pub fn replication(
-        &self,
-        replica_counts: &[usize],
-        alpha: f64,
-    ) -> Result<Vec<SweepPoint>, ModelError> {
-        let base = self.base;
-        let mut out = Vec::with_capacity(replica_counts.len());
-        for (i, &r) in replica_counts.iter().enumerate() {
-            let config = SimConfig::new(
-                r,
-                1,
-                base.mttf_visible_hours,
-                base.mttf_latent_hours,
-                base.repair_visible_hours,
-                base.repair_latent_hours,
-                base.detection,
-                alpha,
-            )?
-            .with_max_hours(base.max_hours)
-            .with_draw(base.draw)
-            .with_strategy(base.strategy);
-            out.push(Self::point(r as f64, &self.estimate(config, i)));
-        }
-        Ok(out)
-    }
-
-    /// Sweeps the correlation factor for a fixed configuration.
-    pub fn alpha(&self, alphas: &[f64]) -> Result<Vec<SweepPoint>, ModelError> {
-        let base = self.base;
-        let mut out = Vec::with_capacity(alphas.len());
-        for (i, &alpha) in alphas.iter().enumerate() {
-            let config = SimConfig::new(
-                base.replicas,
-                base.min_intact,
-                base.mttf_visible_hours,
-                base.mttf_latent_hours,
-                base.repair_visible_hours,
-                base.repair_latent_hours,
-                base.detection,
-                alpha,
-            )?
-            .with_max_hours(base.max_hours)
-            .with_draw(base.draw)
-            .with_strategy(base.strategy);
-            out.push(Self::point(alpha, &self.estimate(config, i)));
-        }
-        Ok(out)
-    }
-
-    /// Sweeps the redundancy policy at otherwise fixed fault/repair
-    /// parameters. Each point's `x` is the policy's storage overhead
-    /// (`fragments / min_fragments`), putting `Replicated { n: 3 }` and
-    /// `ErasureCoded { k: 2, n: 6 }` on the same comparable axis.
-    pub fn policy(
-        &self,
-        policies: &[crate::config::RedundancyPolicy],
-    ) -> Result<Vec<SweepPoint>, ModelError> {
-        let mut out = Vec::with_capacity(policies.len());
-        for (i, &p) in policies.iter().enumerate() {
-            p.validate()?;
-            let config = self.base.with_policy(p);
-            out.push(Self::point(p.storage_overhead(), &self.estimate(config, i)));
-        }
-        Ok(out)
-    }
-}
-
-/// Sweeps the scrub period (hours) for a mirrored pair. See
-/// [`SweepDriver::scrub_period`].
-pub fn scrub_period_sweep(
-    base: &SimConfig,
-    periods_hours: &[f64],
-    trials: u64,
-    seed: u64,
-) -> Result<Vec<SweepPoint>, ModelError> {
-    SweepDriver::new(base, trials, seed).scrub_period(periods_hours)
-}
-
-/// Sweeps the replica count at a fixed correlation factor. See
-/// [`SweepDriver::replication`].
-pub fn replication_sweep(
-    base: &SimConfig,
-    replica_counts: &[usize],
-    alpha: f64,
-    trials: u64,
-    seed: u64,
-) -> Result<Vec<SweepPoint>, ModelError> {
-    SweepDriver::new(base, trials, seed).replication(replica_counts, alpha)
-}
-
-/// Sweeps the correlation factor for a fixed configuration. See
-/// [`SweepDriver::alpha`].
-pub fn alpha_sweep(
-    base: &SimConfig,
-    alphas: &[f64],
-    trials: u64,
-    seed: u64,
-) -> Result<Vec<SweepPoint>, ModelError> {
-    SweepDriver::new(base, trials, seed).alpha(alphas)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SweepCache;
+    use crate::campaign::{
+        Campaign, CampaignDriver, CampaignError, MemorySink, SweepAxis, SweepCampaign, SweepSpec,
+    };
     use crate::config::RareEventStrategy;
 
     fn base() -> SimConfig {
         SimConfig::mirrored_disks(2000.0, 2000.0, 5.0, 5.0, Some(100.0), 1.0).unwrap()
     }
 
+    /// Runs `axis` over `base` as a one-sweep campaign on two threads,
+    /// answering points from `cache` when one is given, and decodes its
+    /// points.
+    fn run_sweep(
+        base: SimConfig,
+        axis: SweepAxis,
+        trials: u64,
+        seed: u64,
+        cache: Option<&SweepCache<MttdlEstimate>>,
+    ) -> Result<Vec<SweepPoint>, CampaignError> {
+        let campaign: SweepCampaign = Campaign {
+            name: "sweep".to_string(),
+            sweeps: vec![SweepSpec { name: "sweep".to_string(), base, axis, trials, seed }],
+            scenarios: Vec::new(),
+        };
+        let mut driver = CampaignDriver::new(&campaign).threads(2);
+        if let Some(cache) = cache {
+            driver = driver.point_cache(cache);
+        }
+        let mut sink = MemorySink::new();
+        driver.run(&mut sink)?;
+        Ok(sink.records().iter().map(|r| SweepPoint::from_value(&r.payload).unwrap()).collect())
+    }
+
+    fn sweep(base: SimConfig, axis: SweepAxis, trials: u64, seed: u64) -> Vec<SweepPoint> {
+        run_sweep(base, axis, trials, seed, None).unwrap()
+    }
+
     #[test]
     fn scrub_sweep_shows_scrubbing_helps() {
-        let points = scrub_period_sweep(&base(), &[20.0, 500.0, f64::INFINITY], 800, 1).unwrap();
+        let periods_hours = vec![20.0, 500.0, f64::INFINITY];
+        let points = sweep(base(), SweepAxis::ScrubPeriod { periods_hours }, 800, 1);
         assert_eq!(points.len(), 3);
         assert!(points[0].mttdl_hours > points[1].mttdl_hours);
         assert!(points[1].mttdl_hours > points[2].mttdl_hours);
@@ -298,7 +137,8 @@ mod tests {
 
     #[test]
     fn replication_sweep_is_monotone() {
-        let points = replication_sweep(&base(), &[1, 2, 3], 1.0, 600, 2).unwrap();
+        let axis = SweepAxis::Replication { replica_counts: vec![1, 2, 3], alpha: 1.0 };
+        let points = sweep(base(), axis, 600, 2);
         assert_eq!(points.len(), 3);
         assert!(points[1].mttdl_hours > points[0].mttdl_hours);
         assert!(points[2].mttdl_hours > points[1].mttdl_hours);
@@ -306,49 +146,33 @@ mod tests {
 
     #[test]
     fn alpha_sweep_shows_correlation_hurting() {
-        let points = alpha_sweep(&base(), &[1.0, 0.05], 800, 3).unwrap();
+        let points = sweep(base(), SweepAxis::Alpha { alphas: vec![1.0, 0.05] }, 800, 3);
         assert!(points[0].mttdl_hours > points[1].mttdl_hours * 2.0);
     }
 
     #[test]
-    fn thread_override_does_not_change_results() {
-        let b = base();
-        let grid = [50.0, 500.0];
-        let default = SweepDriver::new(&b, 400, 7).scrub_period(&grid).unwrap();
-        for threads in [1, 2, 3, 8] {
-            let forced = SweepDriver::new(&b, 400, 7).threads(threads).scrub_period(&grid).unwrap();
-            for (d, f) in default.iter().zip(&forced) {
-                for (x, y) in [
-                    (d.mttdl_hours, f.mttdl_hours),
-                    (d.ci_half_width, f.ci_half_width),
-                    (d.censoring_fraction, f.censoring_fraction),
-                    (d.effective_sample_size, f.effective_sample_size),
-                ] {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{threads} threads at x = {}", d.x);
-                }
-            }
+    fn invalid_sweep_input_errors() {
+        for axis in [
+            SweepAxis::Replication { replica_counts: vec![0], alpha: 1.0 },
+            SweepAxis::Alpha { alphas: vec![0.0] },
+        ] {
+            let err = run_sweep(base(), axis, 10, 1, None);
+            assert!(matches!(err, Err(CampaignError::Model(_))));
         }
     }
 
     #[test]
-    fn invalid_sweep_input_errors() {
-        assert!(replication_sweep(&base(), &[0], 1.0, 10, 1).is_err());
-        assert!(alpha_sweep(&base(), &[0.0], 10, 1).is_err());
-    }
-
-    #[test]
     fn cached_sweep_is_bit_identical_and_superset_reuses_points() {
-        let b = base();
+        let scrub = |periods: &[f64]| SweepAxis::ScrubPeriod { periods_hours: periods.to_vec() };
         let grid = [30.0, 100.0, 400.0];
         let superset = [30.0, 100.0, 400.0, 1_000.0];
-        let cold = SweepDriver::new(&b, 300, 11).threads(2).scrub_period(&superset).unwrap();
+        let cold = sweep(base(), scrub(&superset), 300, 11);
 
-        let cache = crate::cache::SweepCache::new();
-        let driver = SweepDriver::new(&b, 300, 11).threads(2).cache(&cache);
-        let first = driver.scrub_period(&grid).unwrap();
+        let cache = SweepCache::new();
+        let first = run_sweep(base(), scrub(&grid), 300, 11, Some(&cache)).unwrap();
         assert_eq!(cache.len(), grid.len());
         assert_eq!(cache.misses(), grid.len() as u64);
-        let warm = driver.scrub_period(&superset).unwrap();
+        let warm = run_sweep(base(), scrub(&superset), 300, 11, Some(&cache)).unwrap();
         // Every original point was answered from the cache; only the new
         // axis extension was simulated.
         assert_eq!(cache.hits(), grid.len() as u64);
@@ -360,21 +184,6 @@ mod tests {
         for (f, w) in first.iter().zip(&warm) {
             assert_eq!(f.mttdl_hours.to_bits(), w.mttdl_hours.to_bits());
         }
-    }
-
-    #[test]
-    fn cache_keys_trials_and_seed_but_not_threads() {
-        let b = base();
-        let cache = crate::cache::SweepCache::new();
-        let grid = [50.0];
-        SweepDriver::new(&b, 200, 1).threads(1).cache(&cache).scrub_period(&grid).unwrap();
-        SweepDriver::new(&b, 300, 1).threads(1).cache(&cache).scrub_period(&grid).unwrap();
-        SweepDriver::new(&b, 200, 9).threads(1).cache(&cache).scrub_period(&grid).unwrap();
-        assert_eq!(cache.len(), 3, "trials and seed must key separately");
-        assert_eq!(cache.hits(), 0);
-        SweepDriver::new(&b, 200, 1).threads(2).cache(&cache).scrub_period(&grid).unwrap();
-        assert_eq!(cache.len(), 3, "the thread count must not key separately");
-        assert_eq!(cache.hits(), 1);
     }
 
     #[test]
@@ -418,7 +227,7 @@ mod tests {
             .with_max_hours(5000.0)
             .with_strategy(RareEventStrategy::ImportanceSampling { tilt: 30.0 });
         let points =
-            SweepDriver::new(&rare, 400, 5).threads(1).scrub_period(&[500.0, 2000.0]).unwrap();
+            sweep(rare, SweepAxis::ScrubPeriod { periods_hours: vec![500.0, 2000.0] }, 400, 5);
         assert!(
             points.iter().all(|p| p.mttdl_hours > 0.0),
             "accelerated sweep saw no losses: {points:?}"

@@ -5,7 +5,7 @@
 
 use ltds::core::{mttdl, presets, units};
 use ltds::sim::config::{DetectionModel, SimConfig};
-use ltds::sim::monte_carlo::MonteCarlo;
+use ltds::sim::monte_carlo::{MonteCarlo, MttdlEstimate};
 use ltds::sim::RareEventStrategy;
 
 /// The pinned rare fixture: the paper's scrubbed Cheetah mirror over a
@@ -171,6 +171,38 @@ fn rare_fixture_acceleration_is_unbiased_with_tenfold_variance_reduction() {
         p_ref.estimate,
         p_ref.half_width()
     );
+}
+
+/// Doubles the trial count from 250 (seed 1 at every rung) until the 95 %
+/// CI on P[loss within the mission] is at most 2e-4 half-wide with a loss
+/// observed; returns that rung's trial count and estimate.
+fn trials_to_target_width(config: SimConfig) -> (u64, MttdlEstimate) {
+    let mut trials = 250;
+    loop {
+        let est = MonteCarlo::new(config).trials(trials).seed(1).run();
+        let ci = est.loss_probability_by(config.max_hours);
+        if ci.estimate > 0.0 && ci.half_width() <= 2.0e-4 {
+            return (trials, est);
+        }
+        assert!(trials < 1_000_000, "no rung up to {trials} trials reached the target width");
+        trials *= 2;
+    }
+}
+
+#[test]
+fn importance_sampling_reaches_the_target_width_with_tenfold_fewer_trials() {
+    // The same ladder on the rare fixture, vanilla vs importance-sampled
+    // at the canonical tilt: 64 000 vs 250 trials. Every rung is seeded,
+    // so both counts and the variance ratio (~362) are exact.
+    let (vanilla, _) = trials_to_target_width(rare_mirror());
+    let tilted = rare_mirror().with_strategy(RareEventStrategy::ImportanceSampling { tilt: 30.0 });
+    let (accelerated, est) = trials_to_target_width(tilted);
+    assert!(
+        vanilla >= 10 * accelerated,
+        "vanilla needed {vanilla} trials, importance sampling {accelerated}"
+    );
+    let vr = est.variance_ratio_vs_vanilla.expect("accelerated runs report a variance ratio");
+    assert!(vr >= 10.0, "variance ratio {vr} below the 10x floor");
 }
 
 #[test]

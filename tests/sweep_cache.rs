@@ -8,8 +8,10 @@ mod common;
 use common::TempDir;
 use ltds::fleet::{FleetConfig, FleetSim, FleetTopology, ShardCache};
 use ltds::sim::cache::{ConfigDigest, SweepCache};
+use ltds::sim::campaign::{
+    Campaign, CampaignDriver, MemorySink, SweepAxis, SweepCampaign, SweepSpec,
+};
 use ltds::sim::config::SimConfig;
-use ltds::sim::sweep::SweepDriver;
 use proptest::prelude::*;
 
 fn mirrored(mv: f64, ml: f64, scrub: f64, alpha: f64) -> SimConfig {
@@ -39,41 +41,49 @@ fn arb_fleet() -> impl Strategy<Value = FleetConfig> {
 }
 
 proptest! {
-    /// A sweep run against a warmed cache returns bit-identical points to
-    /// the cold sweep at the same thread count, for 1, 2 and 8 threads;
-    /// and running the superset grid after the base grid hits every
-    /// previously simulated point.
+    /// Refining a sweep: a one-sweep campaign over the superset grid, run
+    /// against a cache warmed by the base grid, streams the same bytes as
+    /// the cold superset run at 1, 2 and 8 threads; every base-grid point
+    /// hits and only the extension simulates.
     #[test]
     fn warm_sweep_is_bit_identical_to_cold_across_thread_counts(
         seed in 0u64..1_000,
         base_len in 2usize..5,
         extra in 1usize..4,
     ) {
-        let base_config = mirrored(2_000.0, 2_000.0, 100.0, 1.0);
         let superset: Vec<f64> =
             (0..base_len + extra).map(|i| 50.0 + 75.0 * i as f64).collect();
-        let grid = &superset[..base_len];
+        let scrub_sweep = |periods_hours: &[f64]| -> SweepCampaign {
+            Campaign {
+                name: "refine".to_string(),
+                sweeps: vec![SweepSpec {
+                    name: "scrub".to_string(),
+                    base: mirrored(2_000.0, 2_000.0, 100.0, 1.0),
+                    axis: SweepAxis::ScrubPeriod { periods_hours: periods_hours.to_vec() },
+                    trials: 120,
+                    seed,
+                }],
+                scenarios: Vec::new(),
+            }
+        };
+        let (grid, refined) = (scrub_sweep(&superset[..base_len]), scrub_sweep(&superset));
 
         for threads in [1usize, 2, 8] {
-            let cold = SweepDriver::new(&base_config, 120, seed)
-                .threads(threads)
-                .scrub_period(&superset)
-                .unwrap();
+            let mut cold = MemorySink::new();
+            CampaignDriver::new(&refined).threads(threads).run(&mut cold).unwrap();
 
             let cache = SweepCache::new();
-            let driver = SweepDriver::new(&base_config, 120, seed).threads(threads).cache(&cache);
-            driver.scrub_period(grid).unwrap();
-            prop_assert_eq!(cache.misses(), grid.len() as u64);
-            let warm = driver.scrub_period(&superset).unwrap();
-            // Every base-grid point was answered from the cache.
-            prop_assert_eq!(cache.hits(), grid.len() as u64);
-            prop_assert_eq!(cache.len(), superset.len());
-
-            for (c, w) in cold.iter().zip(&warm) {
-                prop_assert_eq!(c.x.to_bits(), w.x.to_bits());
-                prop_assert_eq!(c.mttdl_hours.to_bits(), w.mttdl_hours.to_bits());
-                prop_assert_eq!(c.ci_half_width.to_bits(), w.ci_half_width.to_bits());
-            }
+            let warm_up = CampaignDriver::new(&grid).threads(threads).point_cache(&cache);
+            prop_assert_eq!(warm_up.run(&mut MemorySink::new()).unwrap().cache_misses, base_len as u64);
+            let mut warm = MemorySink::new();
+            let summary = CampaignDriver::new(&refined)
+                .threads(threads)
+                .point_cache(&cache)
+                .run(&mut warm)
+                .unwrap();
+            prop_assert_eq!(summary.cache_hits, base_len as u64);
+            prop_assert_eq!(summary.cache_misses, extra as u64);
+            prop_assert_eq!(warm.to_jsonl(), cold.to_jsonl());
         }
     }
 
