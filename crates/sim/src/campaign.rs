@@ -8,7 +8,10 @@
 //! flat list of content-addressed work units (one sweep grid point or one
 //! fleet shard each, tagged with its [`CacheKey`]) claimed by a pool of
 //! worker threads from a shared cursor: whichever worker is free takes the
-//! next unit, so stragglers never idle the pool, yet the *output* is
+//! next piece of work, so stragglers never idle the pool. A simulated
+//! sweep point runs as up to eight contiguous ranges of its trials, so one
+//! heavy point occupies every worker at once; its ranges fold in trial
+//! order, which never changes the output. The *output* is
 //! thread-count-invariant — results are released to the [`ReportSink`] in
 //! unit order through a reorder buffer, as soon as the order-front
 //! completes, not at end of run.
@@ -29,15 +32,16 @@
 
 use crate::cache::{CacheKey, ConfigDigest, SweepCache};
 use crate::config::SimConfig;
-use crate::monte_carlo::{MonteCarlo, MttdlEstimate};
+use crate::monte_carlo::{MonteCarlo, MttdlEstimate, TrialTally};
 use crate::sweep::{PointRequest, SweepPoint};
 use ltds_core::error::ModelError;
 use ltds_telemetry::TelemetryConfig;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 
 /// The parameter axis a named sweep walks, with its grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -617,86 +621,126 @@ impl<'a, S: Scenario> CampaignDriver<'a, S> {
 
     /// Runs the campaign, streaming records to `sink` in unit order as
     /// results land.
+    ///
+    /// Point-cache lookups happen up front, on the calling thread. Every
+    /// point they miss runs as up to eight contiguous trial ranges that any
+    /// worker may claim; the worker that finishes a point's last range
+    /// folds the ranges in trial order, caches the estimate and reports the
+    /// unit. A scenario shard is one piece, looked up and run by its
+    /// worker. Ranges fold to the same bits however they are split or
+    /// scheduled, so the output never depends on the thread count.
     pub fn run(&self, sink: &mut dyn ReportSink) -> Result<CampaignSummary, CampaignError> {
         // Prepare scenarios first: validation errors surface before any
         // simulation starts.
         let prepared = prepare_scenarios(self.campaign)?;
         let units = flatten_units(self.campaign, &prepared)?;
-
         let limit = self.max_units.map_or(units.len(), |k| k.min(units.len()));
-        let threads = self.threads.min(limit).max(1);
 
-        // Work-claiming pool: free workers claim the next unit ordinal from
-        // a shared cursor. Results return tagged with their ordinal and are
-        // released to the sink strictly in order. The cursor publishes no
-        // data (units are shared read-only, results travel through the
-        // channel), so its accesses are relaxed; being read-modify-writes,
-        // claims still see the latest store.
+        // Cached points go straight to the reorder buffer; every other unit
+        // becomes pieces, with one fold slot per trial range of a point.
+        let mut reorder: BTreeMap<usize, UnitResult> = BTreeMap::new();
+        let mut pieces: Vec<Piece> = Vec::new();
+        let mut folds: Vec<Mutex<Vec<Option<TrialTally>>>> = Vec::with_capacity(limit);
+        for (ordinal, unit) in units[..limit].iter().enumerate() {
+            let mut slots = Vec::new();
+            match unit {
+                Unit::Point { sweep, x, key, .. } => {
+                    match self.point_cache.and_then(|cache| cache.get(key)) {
+                        Some(est) => {
+                            let payload = SweepPoint::from_estimate(*x, &est).to_value();
+                            reorder.insert(ordinal, (payload, true, None));
+                        }
+                        None => {
+                            let ranges = piece_ranges(self.campaign.sweeps[*sweep].trials);
+                            slots.resize_with(ranges.len(), || None);
+                            pieces.extend(ranges.into_iter().enumerate().map(|(slot, roots)| {
+                                Piece { ordinal, trials: Some((slot, roots)) }
+                            }));
+                        }
+                    }
+                }
+                Unit::Shard { .. } => pieces.push(Piece { ordinal, trials: None }),
+            }
+            folds.push(Mutex::new(slots));
+        }
+        let threads = self.threads.min(pieces.len());
+
+        // Work-claiming pool: free workers claim the next piece from a
+        // shared cursor. Results return tagged with their unit ordinal and
+        // are released to the sink strictly in order. The cursor publishes
+        // no data (pieces are shared read-only, tallies travel under their
+        // point's lock, results through the channel), so its accesses are
+        // relaxed; being read-modify-writes, claims still see the latest
+        // store.
         let cursor = AtomicUsize::new(0);
-        type UnitResult = (usize, Value, bool, Option<Value>);
-        let (result_tx, result_rx) = mpsc::channel::<UnitResult>();
+        let (result_tx, result_rx) = mpsc::channel::<(usize, UnitResult)>();
 
         let mut hits = 0u64;
         let mut misses = 0u64;
         std::thread::scope(|scope| -> Result<(), CampaignError> {
             for _ in 0..threads {
                 let result_tx = result_tx.clone();
-                let cursor = &cursor;
-                let units = &units;
+                let (cursor, pieces, folds, units) = (&cursor, &pieces, &folds, &units);
                 let prepared = &prepared;
                 let sweeps = &self.campaign.sweeps;
                 let point_cache = self.point_cache;
                 let shard_cache = self.shard_cache;
                 let telemetry = self.telemetry;
-                scope.spawn(move || loop {
-                    let ordinal = cursor.fetch_add(1, Ordering::Relaxed);
-                    if ordinal >= limit {
-                        break;
-                    }
-                    let (payload, hit, trace) = execute_unit::<S>(
-                        sweeps,
-                        prepared,
-                        &units[ordinal],
-                        point_cache,
-                        shard_cache,
-                        telemetry,
-                    );
-                    if result_tx.send((ordinal, payload, hit, trace)).is_err() {
-                        break;
+                scope.spawn(move || {
+                    while let Some(piece) = pieces.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                        let unit = &units[piece.ordinal];
+                        let result = match &piece.trials {
+                            Some(range) => {
+                                let fold = &folds[piece.ordinal];
+                                run_point_piece(sweeps, unit, range, fold, point_cache)
+                            }
+                            None => Some(execute_unit::<S>(
+                                sweeps,
+                                prepared,
+                                unit,
+                                point_cache,
+                                shard_cache,
+                                telemetry,
+                            )),
+                        };
+                        let Some(result) = result else { continue };
+                        if result_tx.send((piece.ordinal, result)).is_err() {
+                            break;
+                        }
                     }
                 });
             }
             drop(result_tx);
 
-            // On a sink failure, move the cursor past the end before
-            // propagating: workers stop after their in-flight unit instead
+            // On a sink failure, move the cursor past the last piece before
+            // propagating: workers stop after their piece in flight instead
             // of simulating the rest of the campaign into a dead sink.
             let mut deliver = |record: &StreamRecord| {
-                sink.record(record).inspect_err(|_| cursor.store(limit, Ordering::Relaxed))
+                sink.record(record).inspect_err(|_| cursor.store(pieces.len(), Ordering::Relaxed))
             };
-            let mut reorder: BTreeMap<usize, (Value, bool, Option<Value>)> = BTreeMap::new();
             let mut next = 0usize;
-            for _ in 0..limit {
-                let (ordinal, payload, hit, trace) =
-                    result_rx.recv().expect("every claimed unit reports a result");
-                reorder.insert(ordinal, (payload, hit, trace));
-                while let Some((payload, hit, trace)) = reorder.remove(&next) {
-                    if hit {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                    }
-                    deliver(&record_for(self.campaign, &units[next], payload))?;
-                    // The trace rides directly behind its shard's result,
-                    // under the same key. Scenarios without an instrumented
-                    // kernel report `Null` — nothing worth streaming.
-                    if let Some(trace) = trace.filter(|t| !matches!(t, Value::Null)) {
-                        let mut record = record_for(self.campaign, &units[next], trace);
-                        record.kind = RecordKind::ShardTrace;
-                        deliver(&record)?;
-                    }
-                    next += 1;
+            while next < limit {
+                let Some((payload, hit, trace)) = reorder.remove(&next) else {
+                    let (ordinal, result) =
+                        result_rx.recv().expect("every claimed unit reports a result");
+                    reorder.insert(ordinal, result);
+                    continue;
+                };
+                if hit {
+                    hits += 1;
+                } else {
+                    misses += 1;
                 }
+                deliver(&record_for(self.campaign, &units[next], payload))?;
+                // The trace rides directly behind its shard's result, under
+                // the same key. Scenarios without an instrumented kernel
+                // report `Null` — nothing worth streaming.
+                if let Some(trace) = trace.filter(|t| !matches!(t, Value::Null)) {
+                    let mut record = record_for(self.campaign, &units[next], trace);
+                    record.kind = RecordKind::ShardTrace;
+                    deliver(&record)?;
+                }
+                next += 1;
             }
             sink.flush()?;
             Ok(())
@@ -712,6 +756,74 @@ impl<'a, S: Scenario> CampaignDriver<'a, S> {
     }
 }
 
+/// Simulated sweep points run as at most this many trial ranges. A
+/// constant rather than an option: pieces change only the schedule, never
+/// the output.
+const POINT_PIECES: u64 = 8;
+
+/// The trial ranges a simulated point of `trials` root trials runs as:
+/// `min(trials, 8)` contiguous ascending ranges covering `0..trials`, the
+/// first `trials % ranges` of them one trial longer.
+fn piece_ranges(trials: u64) -> Vec<Range<u64>> {
+    let pieces = trials.min(POINT_PIECES);
+    let (chunk, remainder) = (trials / pieces, trials % pieces);
+    let mut start = 0;
+    (0..pieces)
+        .map(|p| {
+            let roots = start..start + chunk + u64::from(p < remainder);
+            start = roots.end;
+            roots
+        })
+        .collect()
+}
+
+/// One claimable piece of pool work: a trial range (`slot` of its point's
+/// ranges) of a simulated sweep point, or (`trials: None`) a whole unit.
+struct Piece {
+    ordinal: usize,
+    trials: Option<(usize, Range<u64>)>,
+}
+
+/// A unit's record payload, whether a cache answered it, and the trace
+/// payload of a scenario shard simulated with telemetry on.
+type UnitResult = (Value, bool, Option<Value>);
+
+/// Runs trial range `roots` of sweep point `unit` into fold slot `slot`.
+/// The worker that fills the point's last slot folds the ranges in trial
+/// order, caches the estimate and returns the unit's result.
+fn run_point_piece(
+    sweeps: &[SweepSpec],
+    unit: &Unit,
+    (slot, roots): &(usize, Range<u64>),
+    fold: &Mutex<Vec<Option<TrialTally>>>,
+    cache: Option<&SweepCache<MttdlEstimate>>,
+) -> Option<UnitResult> {
+    let Unit::Point { sweep, x, config, key, .. } = unit else {
+        unreachable!("only sweep points split into trial ranges")
+    };
+    let mc = point_monte_carlo(config, sweeps[*sweep].trials, key);
+    let tally = mc.run_trials(roots.clone());
+    let tallies = {
+        let mut slots = fold.lock().expect("fold lock poisoned");
+        slots[*slot] = Some(tally);
+        if !slots.iter().all(Option::is_some) {
+            return None;
+        }
+        std::mem::take(&mut *slots)
+    };
+    let est = mc.estimate(tallies.into_iter().flatten());
+    if let Some(cache) = cache {
+        cache.insert(*key, est.clone());
+    }
+    Some((SweepPoint::from_estimate(*x, &est).to_value(), false, None))
+}
+
+/// The Monte-Carlo run behind a sweep point: its config at `trials` trials
+/// and the point's seed, on the calling thread.
+fn point_monte_carlo(config: &SimConfig, trials: u64, key: &CacheKey) -> MonteCarlo {
+    MonteCarlo::new(*config).trials(trials).seed(key.seed).threads(1)
+}
+
 /// Executes one unit on whichever worker pulled it, consulting (and
 /// filling) its cache. Returns the record payload, whether the cache
 /// answered, and — for scenario shards simulated with telemetry on — the
@@ -723,7 +835,7 @@ pub(crate) fn execute_unit<S: Scenario>(
     point_cache: Option<&SweepCache<MttdlEstimate>>,
     shard_cache: Option<&SweepCache<S::Outcome>>,
     telemetry: Option<TelemetryConfig>,
-) -> (Value, bool, Option<Value>) {
+) -> UnitResult {
     match unit {
         Unit::Point { sweep, x, config, key, .. } => {
             if let Some(cache) = point_cache {
@@ -731,8 +843,7 @@ pub(crate) fn execute_unit<S: Scenario>(
                     return (SweepPoint::from_estimate(*x, &est).to_value(), true, None);
                 }
             }
-            let trials = sweeps[*sweep].trials;
-            let est = MonteCarlo::new(*config).trials(trials).seed(key.seed).threads(1).run();
+            let est = point_monte_carlo(config, sweeps[*sweep].trials, key).run();
             if let Some(cache) = point_cache {
                 cache.insert(*key, est.clone());
             }
@@ -772,8 +883,7 @@ pub(crate) fn compute_unit_raw<S: Scenario>(
 ) -> Value {
     match unit {
         Unit::Point { sweep, config, key, .. } => {
-            let trials = sweeps[*sweep].trials;
-            MonteCarlo::new(*config).trials(trials).seed(key.seed).threads(1).run().to_value()
+            point_monte_carlo(config, sweeps[*sweep].trials, key).run().to_value()
         }
         Unit::Shard { scenario, shard, .. } => prepared[*scenario].1.run_shard(*shard).to_value(),
     }
@@ -941,6 +1051,59 @@ mod tests {
             let mut sink = MemorySink::new();
             CampaignDriver::new(&campaign).threads(threads).run(&mut sink).unwrap();
             assert_eq!(sink.to_jsonl(), reference_jsonl, "{threads} threads diverged");
+        }
+
+        // Points with fewer trials than pieces, and the correlated
+        // 4-replica point of the demo's replication sweep (its `mc_group()`
+        // base at α = 0.5), whose trials vary most in length.
+        let mc_group = SimConfig::mirrored_disks(1_000.0, 5_000.0, 10.0, 10.0, Some(100.0), 1.0);
+        let split: SweepCampaign = Campaign {
+            name: "split".to_string(),
+            sweeps: vec![
+                SweepSpec {
+                    name: "three_trials".to_string(),
+                    base: base(),
+                    axis: SweepAxis::ScrubPeriod { periods_hours: vec![30.0, 300.0] },
+                    trials: 3,
+                    seed: 5,
+                },
+                SweepSpec {
+                    name: "correlated".to_string(),
+                    base: mc_group.unwrap(),
+                    axis: SweepAxis::Replication { replica_counts: vec![4], alpha: 0.5 },
+                    trials: 16,
+                    seed: 2,
+                },
+            ],
+            scenarios: Vec::new(),
+        };
+        let mut reference = MemorySink::new();
+        CampaignDriver::new(&split).threads(1).run(&mut reference).unwrap();
+        // The split points carry the bits of their unsplit runs.
+        let units = flatten_units(&split, &[]).unwrap();
+        assert_eq!(reference.records().len(), units.len());
+        for (record, unit) in reference.records().iter().zip(&units) {
+            let Unit::Point { x, .. } = unit else { unreachable!() };
+            let raw = compute_unit_raw::<NoScenario>(&split.sweeps, &[], unit);
+            let est = MttdlEstimate::from_value(&raw).unwrap();
+            assert_eq!(record.payload, SweepPoint::from_estimate(*x, &est).to_value());
+        }
+        for threads in [2usize, 8] {
+            let mut sink = MemorySink::new();
+            CampaignDriver::new(&split).threads(threads).run(&mut sink).unwrap();
+            assert_eq!(sink.to_jsonl(), reference.to_jsonl(), "split, {threads} threads");
+        }
+    }
+
+    #[test]
+    fn piece_ranges_cover_the_trials_in_order() {
+        for trials in [1u64, 3, 8, 9, 75, 8_000] {
+            let ranges = piece_ranges(trials);
+            assert_eq!(ranges.len() as u64, trials.min(8), "{trials} trials");
+            assert_eq!(ranges[0].start, 0, "{trials} trials");
+            assert!(ranges.iter().all(|r| r.start < r.end), "{trials} trials: {ranges:?}");
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start), "{trials}: {ranges:?}");
+            assert_eq!(ranges.last().unwrap().end, trials, "{trials} trials");
         }
     }
 

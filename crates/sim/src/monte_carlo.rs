@@ -1,11 +1,13 @@
 //! Monte-Carlo estimation of MTTDL and mission loss probabilities.
 //!
-//! One driver serves every [`RareEventStrategy`]: root trial indices are
-//! split into contiguous ascending ranges, one per worker thread
-//! ([`parallel_ranges`]), every root draws from its own RNG sub-stream
-//! (`master.fork(index)`), and the workers' results are folded in
-//! root-index order. The estimate for a given `(seed, trials)` pair is
-//! therefore bit-identical for any thread count.
+//! One engine serves every [`RareEventStrategy`]: root trial indices are
+//! split into contiguous ascending ranges, every root draws from its own
+//! RNG sub-stream (`master.fork(index)`) whichever range runs it, and the
+//! ranges' tallies are folded in root-index order. [`MonteCarlo::run`]
+//! runs one range per worker thread ([`parallel_ranges`]); the campaign
+//! driver runs a sweep point as up to eight ranges on its pool. The
+//! estimate for a given `(seed, trials)` pair is therefore bit-identical
+//! for any split: any thread count, any number of ranges.
 
 use crate::config::{RareEventStrategy, SimConfig};
 use crate::rare::{RareRunner, WeightedOutcome};
@@ -14,6 +16,7 @@ use ltds_stochastic::{
     parallel_ranges, ConfidenceInterval, ProportionEstimate, SimRng, StreamingStats,
 };
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Result of a Monte-Carlo run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -173,55 +176,69 @@ impl MonteCarlo {
     /// weighted rare-event roots. All three return an unbiased
     /// [`MttdlEstimate`].
     pub fn run(&self) -> MttdlEstimate {
+        self.estimate(parallel_ranges(self.trials as usize, self.threads, |range| {
+            self.run_trials(range.start as u64..range.end as u64)
+        }))
+    }
+
+    /// Runs root trials `roots` on the calling thread; root `i` draws from
+    /// `master.fork(i)` whichever range it runs in.
+    pub(crate) fn run_trials(&self, roots: Range<u64>) -> TrialTally {
+        let master = SimRng::seed_from(self.seed);
+        let mut tally = TrialTally { roots: roots.clone(), ..TrialTally::default() };
+        // One scratch per range: the per-trial loop is allocation-free.
+        let mut scratch = TrialScratch::new();
         match self.config.strategy {
             RareEventStrategy::Vanilla => {
                 let runner = TrialRunner::new(self.config);
-                self.vanilla_estimate(self.tally(|index, rng, scratch, share| {
-                    let outcome = runner.run_with(rng, scratch);
-                    share.record(index, WeightedOutcome { outcome, weight: 1.0 });
-                }))
+                for index in roots {
+                    let outcome = runner.run_with(&mut master.fork(index), &mut scratch);
+                    tally.record(index, WeightedOutcome { outcome, weight: 1.0 });
+                }
             }
             _ => {
                 let runner = RareRunner::new(self.config);
-                self.weighted_estimate(self.tally(|index, rng, scratch, share| {
-                    runner.run_root(rng, scratch, |leaf| share.record(index, leaf));
-                }))
+                for index in roots {
+                    runner.run_root(&master.fork(index), &mut scratch, |leaf| {
+                        tally.record(index, leaf)
+                    });
+                }
             }
         }
+        tally
     }
 
-    /// Runs every root trial through `root` — which records the root's
-    /// leaves into the worker's tally — on the worker threads, and
-    /// concatenates the workers' tallies in root order.
-    fn tally(
-        &self,
-        root: impl Fn(u64, &mut SimRng, &mut TrialScratch, &mut Tally) + Sync,
-    ) -> Tally {
-        let master = SimRng::seed_from(self.seed);
-        let shares = parallel_ranges(self.trials as usize, self.threads, |range| {
-            let mut share = Tally::default();
-            // One scratch per worker: the per-trial loop is allocation-free.
-            let mut scratch = TrialScratch::new();
-            for index in range {
-                let index = index as u64;
-                root(index, &mut master.fork(index), &mut scratch, &mut share);
-            }
-            share
-        });
-        let mut shares = shares.into_iter();
-        let mut total = shares.next().expect("at least one range");
-        for share in shares {
-            total.losses.extend(share.losses);
-            total.censored += share.censored;
-            total.faults += share.faults;
-            total.repairs += share.repairs;
+    /// Concatenates `tallies` in order and folds them into the estimate.
+    ///
+    /// # Panics
+    ///
+    /// Unless the tallies' ranges are contiguous, ascending and cover
+    /// exactly `0..trials`: then every split folds to the same bits.
+    pub(crate) fn estimate(&self, tallies: impl IntoIterator<Item = TrialTally>) -> MttdlEstimate {
+        let mut total = TrialTally::default();
+        for tally in tallies {
+            let Range { start, end } = tally.roots;
+            assert!(
+                start == total.roots.end && start <= end,
+                "trial tallies must be contiguous and ascending: {start}..{end} after {:?}",
+                total.roots
+            );
+            total.roots.end = end;
+            total.losses.extend(tally.losses);
+            total.censored += tally.censored;
+            total.faults += tally.faults;
+            total.repairs += tally.repairs;
         }
-        total
+        assert_eq!(total.roots, 0..self.trials, "trial tallies must cover every root trial");
+        match self.config.strategy {
+            RareEventStrategy::Vanilla => self.vanilla_estimate(total),
+            _ => self.weighted_estimate(total),
+        }
     }
 
     /// The unweighted estimate: loss times folded into one Welford
     /// accumulator in trial order.
-    fn vanilla_estimate(&self, tally: Tally) -> MttdlEstimate {
+    fn vanilla_estimate(&self, tally: TrialTally) -> MttdlEstimate {
         let mut stats = StreamingStats::new();
         let mut loss_times: Vec<f64> = tally.losses.iter().map(|&(_, t, _)| t).collect();
         for &t in &loss_times {
@@ -247,7 +264,7 @@ impl MonteCarlo {
 
     /// The self-normalised likelihood-ratio estimate of an accelerated
     /// run, with per-root loss mass for the variance-vs-vanilla diagnostic.
-    fn weighted_estimate(&self, tally: Tally) -> MttdlEstimate {
+    fn weighted_estimate(&self, tally: TrialTally) -> MttdlEstimate {
         let mut records = tally.losses;
 
         // Per-root loss mass z_i for the variance-vs-vanilla diagnostic;
@@ -322,9 +339,12 @@ impl MonteCarlo {
     }
 }
 
-/// Loss records and counters of a run of root trials, in root order.
+/// Loss records and counters of a contiguous range of root trials, in
+/// root order.
 #[derive(Default)]
-struct Tally {
+pub(crate) struct TrialTally {
+    /// The root trials this tally covers.
+    roots: Range<u64>,
     /// `(root index, loss time, weight)` per loss leaf; roots ascend and a
     /// root's leaves stay contiguous.
     losses: Vec<(u64, f64, f64)>,
@@ -333,7 +353,7 @@ struct Tally {
     repairs: u64,
 }
 
-impl Tally {
+impl TrialTally {
     /// Records one leaf of root trial `root`.
     fn record(&mut self, root: u64, leaf: WeightedOutcome) {
         self.faults += leaf.outcome.faults;
@@ -374,14 +394,35 @@ mod tests {
             (a.mttdl_hours.lower, b.mttdl_hours.lower),
             (a.mttdl_hours.upper, b.mttdl_hours.upper),
             (a.effective_sample_size, b.effective_sample_size),
+            (a.mean_faults_per_trial, b.mean_faults_per_trial),
+            (a.mean_repairs_per_trial, b.mean_repairs_per_trial),
         ] {
             assert_eq!(x.to_bits(), y.to_bits(), "{what}");
         }
+        assert_eq!(
+            a.variance_ratio_vs_vanilla.map(f64::to_bits),
+            b.variance_ratio_vs_vanilla.map(f64::to_bits),
+            "{what}"
+        );
         for mission in [500.0, 5_000.0, 20_000.0] {
             let (p, q) = (a.loss_probability_by(mission), b.loss_probability_by(mission));
             for (x, y) in [(p.estimate, q.estimate), (p.lower, q.lower), (p.upper, q.upper)] {
                 assert_eq!(x.to_bits(), y.to_bits(), "{what}, mission {mission}");
             }
+        }
+    }
+
+    /// Asserts that `run_trials` folded over one range, over single-trial
+    /// ranges and over uneven cuts gives `run()`'s bits.
+    fn assert_every_split_folds_to(run: &MttdlEstimate, mc: MonteCarlo, what: &str) {
+        let trials = mc.trials;
+        let whole: Vec<Range<u64>> = std::iter::once(0..trials).collect();
+        for partition in
+            [whole, (0..trials).map(|i| i..i + 1).collect(), vec![0..1, 1..97, 97..trials]]
+        {
+            let parts = partition.len();
+            let folded = mc.estimate(partition.into_iter().map(|roots| mc.run_trials(roots)));
+            assert_same_bits(run, &folded, &format!("{what}, {parts} ranges"));
         }
     }
 
@@ -392,8 +433,39 @@ mod tests {
             let b = MonteCarlo::new(fast_config()).trials(500).seed(9).threads(threads).run();
             assert_same_bits(&a, &b, &format!("{threads} threads"));
         }
+        assert_every_split_folds_to(&a, MonteCarlo::new(fast_config()).trials(500).seed(9), "");
         let c = MonteCarlo::new(fast_config()).trials(500).seed(10).threads(4).run();
         assert_ne!(a.mttdl_hours.estimate, c.mttdl_hours.estimate);
+    }
+
+    /// Folds `run_trials` over `ranges` of a 10-trial run.
+    fn fold(ranges: &[Range<u64>]) -> MttdlEstimate {
+        let mc = MonteCarlo::new(fast_config()).trials(10).seed(5);
+        mc.estimate(ranges.iter().map(|roots| mc.run_trials(roots.clone())))
+    }
+
+    #[test]
+    #[should_panic(expected = "contiguous and ascending")]
+    fn folding_ranges_with_a_gap_panics() {
+        fold(&[0..4, 5..10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "contiguous and ascending")]
+    fn folding_overlapping_ranges_panics() {
+        fold(&[0..5, 4..10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "contiguous and ascending")]
+    fn folding_ranges_out_of_order_panics() {
+        fold(&[5..10, 0..5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cover every root trial")]
+    fn folding_ranges_short_of_the_trials_panics() {
+        fold(&[0..5, 5..9]);
     }
 
     #[test]
@@ -469,12 +541,9 @@ mod tests {
             for threads in [2, 3, 8] {
                 let b = MonteCarlo::new(config).trials(400).seed(21).threads(threads).run();
                 assert_same_bits(&a, &b, &format!("{strategy:?}, {threads} threads"));
-                assert_eq!(
-                    a.variance_ratio_vs_vanilla.map(f64::to_bits),
-                    b.variance_ratio_vs_vanilla.map(f64::to_bits),
-                    "{strategy:?}, {threads} threads"
-                );
             }
+            let mc = MonteCarlo::new(config).trials(400).seed(21);
+            assert_every_split_folds_to(&a, mc, &format!("{strategy:?}"));
         }
     }
 
