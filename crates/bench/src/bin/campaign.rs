@@ -62,8 +62,6 @@
 //!     [--worker-id NAME]      # worker: stable name (default w0)
 //!     [--incarnation N]       # worker: restart counter; respawn wrappers
 //!                             # increment it
-//!     [--local-fallback]      # submit: degrade to the in-process driver
-//!                             # if the server cannot be reached
 //!     [--expect-quarantined N]# submit: exit 1 unless exactly N units
 //!                             # were quarantined
 //!     [--poll-ms N]           # pause between polls (default 25); one
@@ -85,12 +83,17 @@
 //! `cache.persist.crash` (exit 83 right after a durable cache append).
 //!
 //! `--fleet-reports DIR` reads the finished `--out` stream back and folds
-//! each fully streamed scenario's fleet shards into the merged
+//! each fully streamed scenario's fleet shards through
+//! [`ltds_fleet::fleet_reports`] into the merged
 //! [`ltds_fleet::FleetReport`] the engine would have produced
 //! (bit-identical — `PreparedFleet::report` merges in shard order),
 //! written as `DIR/<scenario>.json`. It works the same for the in-process
 //! driver and for `--submit`. Scenarios truncated by `--max-units` are
 //! skipped with a warning.
+//!
+//! `--submit` runs nothing locally: the server owns the caches, so
+//! `--cache-dir`, `--cache-evict-bytes`, `--threads` and `--max-skipped`
+//! apply to the in-process driver (and the first two to the server) only.
 //!
 //! The cache directory holds two segment stores —
 //! `<dir>/points/seg-<digest>.jsonl` for sweep grid points and
@@ -115,9 +118,9 @@
 //! to check when a rare-event config produces a noisy estimate.
 
 use ltds_bench::workloads;
-use ltds_fleet::{FleetCampaign, FleetReportCollector, FleetScenario, ShardCache, TelemetryConfig};
+use ltds_fleet::{fleet_reports, FleetCampaign, FleetScenario, ShardCache, TelemetryConfig};
 use ltds_sim::cache::SweepCache;
-use ltds_sim::campaign::{CampaignDriver, CampaignSummary, JsonlSink, ReportSink, StreamRecord};
+use ltds_sim::campaign::{CampaignDriver, CampaignSummary, JsonlSink, StreamRecord};
 use ltds_sim::net::{
     run_tcp_worker, serve_tcp, submit_tcp, BackoffPolicy, TcpServerConfig, TcpSubmitConfig,
     TcpWorkerConfig,
@@ -158,14 +161,15 @@ impl Mode {
 fn flag_modes(flag: &str) -> &'static [Mode] {
     use Mode::{Driver, Serve, Submit, Worker};
     match flag {
-        "--spec" | "--out" | "--fleet-reports" | "--threads" | "--expect-hits"
-        | "--expect-misses" | "--max-skipped" => &[Driver, Submit],
-        "--cache-dir" | "--cache-evict-bytes" => &[Driver, Serve, Submit],
-        "--telemetry" | "--max-units" => &[Driver],
+        "--spec" | "--out" | "--fleet-reports" | "--expect-hits" | "--expect-misses" => {
+            &[Driver, Submit]
+        }
+        "--cache-dir" | "--cache-evict-bytes" => &[Driver, Serve],
+        "--threads" | "--max-skipped" | "--telemetry" | "--max-units" => &[Driver],
         "--serve-tcp" | "--addr-file" | "--tenants" | "--lease-ticks" | "--reissue-ticks"
         | "--max-attempts" | "--fallback-ticks" => &[Serve],
         "--worker-tcp" | "--worker-id" | "--incarnation" => &[Worker],
-        "--submit" | "--local-fallback" | "--expect-quarantined" => &[Submit],
+        "--submit" | "--expect-quarantined" => &[Submit],
         "--poll-ms" | "--max-polls" => &[Serve, Worker, Submit],
         _ => &[],
     }
@@ -197,13 +201,6 @@ impl RunSummary {
         match self {
             RunSummary::Driver(_) => 0,
             RunSummary::Service(s) => s.quarantined.len() as u64,
-        }
-    }
-
-    fn set_skipped(&mut self, skipped: u64) {
-        match self {
-            RunSummary::Driver(s) => s.skipped_records = skipped,
-            RunSummary::Service(s) => s.skipped_records = skipped,
         }
     }
 
@@ -242,21 +239,14 @@ fn load_spec(spec_path: Option<&str>) -> FleetCampaign {
 
 /// Submit mode: send the spec to a TCP campaign server and stream the
 /// report into `out_path`, resuming from whatever complete lines a
-/// previous (interrupted) submission already wrote there. With
-/// `local_fallback`, an unreachable server degrades to the in-process
-/// driver over the same caches — same bytes, no fleet.
-#[allow(clippy::too_many_arguments)]
+/// previous (interrupted) submission already wrote there.
 fn submit_campaign(
     addr: &str,
     campaign: &FleetCampaign,
-    points: &SweepCache<ltds_sim::MttdlEstimate>,
-    shards: &ShardCache,
     out_path: &str,
     poll_ms: u64,
     max_polls: u64,
-    threads: Option<usize>,
-    local_fallback: bool,
-) -> RunSummary {
+) -> ServiceSummary {
     // The durable cursor is the report itself: the complete lines already
     // on disk. A torn tail line (a client killed mid-write) is discarded.
     let existing = std::fs::read(out_path).unwrap_or_default();
@@ -287,50 +277,29 @@ fn submit_campaign(
         reconnect: BackoffPolicy::default(),
     };
     let mut writer = std::io::BufWriter::new(&mut file);
-    match submit_tcp(&config, &spec, &mut writer) {
-        Ok(summary) => RunSummary::Service(summary),
-        Err(e) if local_fallback => {
-            eprintln!("submit: server unreachable ({e}); degrading to the in-process driver");
-            drop(writer);
-            drop(file);
-            let file = std::fs::File::create(out_path)
-                .unwrap_or_else(|e| fail(format!("cannot create {out_path}: {e}")));
-            let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
-            let mut driver = CampaignDriver::new(campaign).point_cache(points).shard_cache(shards);
-            if let Some(threads) = threads {
-                driver = driver.threads(threads);
-            }
-            let summary = driver
-                .run(&mut sink)
-                .unwrap_or_else(|e| fail(format!("local fallback failed: {e}")));
-            sink.into_inner()
-                .flush()
-                .unwrap_or_else(|e| fail(format!("cannot flush {out_path}: {e}")));
-            RunSummary::Driver(summary)
-        }
-        Err(e) => fail(format!("submission failed: {e}")),
-    }
+    submit_tcp(&config, &spec, &mut writer)
+        .unwrap_or_else(|e| fail(format!("submission failed: {e}")))
 }
 
 /// Folds the finished report at `out_path` into merged per-scenario
 /// [`ltds_fleet::FleetReport`]s, written as `dir/<scenario>.json`. Reading
-/// the stream back gives every mode one path: the in-process driver, a
-/// `--submit` stream resumed across reconnects, and its local fallback.
+/// the stream back gives both modes one path: the in-process driver and a
+/// `--submit` stream resumed across reconnects.
 fn write_fleet_reports(out_path: &str, campaign: &FleetCampaign, dir: &Path) {
     let text = std::fs::read_to_string(out_path)
         .unwrap_or_else(|e| fail(format!("cannot read {out_path}: {e}")));
-    let mut discard = JsonlSink::new(std::io::sink());
-    let mut collector = FleetReportCollector::new(&mut discard);
-    for (index, line) in text.lines().enumerate() {
-        let record: StreamRecord = serde_json::from_str(line).unwrap_or_else(|e| {
-            fail(format!("{out_path}:{}: not a stream record: {e}", index + 1))
-        });
-        collector.record(&record).expect("writing to io::sink cannot fail");
-    }
+    let records: Vec<StreamRecord> = text
+        .lines()
+        .enumerate()
+        .map(|(index, line)| {
+            serde_json::from_str(line).unwrap_or_else(|e| {
+                fail(format!("{out_path}:{}: not a stream record: {e}", index + 1))
+            })
+        })
+        .collect();
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dir.display())));
-    let reports = collector
-        .reports(campaign)
+    let reports = fleet_reports(campaign, &records)
         .unwrap_or_else(|e| fail(format!("cannot merge fleet reports: {e}")));
     for (name, report) in &reports {
         // Scenario names come from specs; keep the filename tame.
@@ -367,7 +336,7 @@ fn main() {
     let mut spec_path: Option<String> = None;
     let mut cache_dir: Option<PathBuf> = None;
     let mut cache_evict_bytes: Option<u64> = None;
-    let mut fleet_reports: Option<PathBuf> = None;
+    let mut reports_dir: Option<PathBuf> = None;
     let mut out_path = String::from("campaign.jsonl");
     let mut threads: Option<usize> = None;
     let mut telemetry_hours: Option<f64> = None;
@@ -381,7 +350,6 @@ fn main() {
     let mut submit_addr: Option<String> = None;
     let mut addr_file: Option<PathBuf> = None;
     let mut tenants: Option<u64> = Some(1);
-    let mut local_fallback = false;
     let mut worker_id = String::from("w0");
     let mut incarnation = 0u64;
     let mut poll_ms = 25u64;
@@ -411,7 +379,7 @@ fn main() {
                 )
             }
             "--fleet-reports" => {
-                fleet_reports = Some(PathBuf::from(value(&args, &mut i, "--fleet-reports")))
+                reports_dir = Some(PathBuf::from(value(&args, &mut i, "--fleet-reports")))
             }
             "--out" => out_path = value(&args, &mut i, "--out"),
             "--threads" => {
@@ -483,7 +451,6 @@ fn main() {
                     ),
                 }
             }
-            "--local-fallback" => local_fallback = true,
             "--worker-id" => worker_id = value(&args, &mut i, "--worker-id"),
             "--incarnation" => {
                 incarnation = value(&args, &mut i, "--incarnation")
@@ -593,9 +560,6 @@ fn main() {
             campaign.scenarios.len()
         );
     }
-    // Built-in rare-event specs: the importance-sampled demo and its
-    // vanilla twin (same grids, seeds and trials — only the strategy,
-    // and therefore every cache digest, differs).
     // Persistent caches: load whatever a previous run left, then write
     // every fresh result through so a kill loses at most one record.
     let points: SweepCache<ltds_sim::MttdlEstimate> = SweepCache::new();
@@ -703,18 +667,8 @@ fn main() {
     }
     let campaign = campaign.expect("non-server modes load a spec");
 
-    let mut summary = if let Some(addr) = &submit_addr {
-        submit_campaign(
-            addr,
-            &campaign,
-            &points,
-            &shards,
-            &out_path,
-            poll_ms,
-            max_polls,
-            threads,
-            local_fallback,
-        )
+    let summary = if let Some(addr) = &submit_addr {
+        RunSummary::Service(submit_campaign(addr, &campaign, &out_path, poll_ms, max_polls))
     } else {
         let file = std::fs::File::create(&out_path)
             .unwrap_or_else(|e| fail(format!("cannot create {out_path}: {e}")));
@@ -729,7 +683,7 @@ fn main() {
         if let Some(k) = max_units {
             driver = driver.max_units(k);
         }
-        let summary = match driver.run(&mut sink) {
+        let mut summary = match driver.run(&mut sink) {
             Ok(summary) => summary,
             Err(e) => {
                 eprintln!("campaign failed: {e}");
@@ -737,15 +691,16 @@ fn main() {
             }
         };
         sink.into_inner().flush().unwrap_or_else(|e| fail(format!("cannot flush {out_path}: {e}")));
+        // Damaged records dropped while loading the persistent caches: the
+        // driver cannot see them, so the binary folds them into the
+        // published summary (CI greps for a nonzero count after corruption
+        // drills).
+        summary.skipped_records = skipped_records;
         RunSummary::Driver(summary)
     };
-    if let Some(dir) = &fleet_reports {
+    if let Some(dir) = &reports_dir {
         write_fleet_reports(&out_path, &campaign, dir);
     }
-    // Damaged records dropped while loading the persistent caches: the
-    // driver cannot see them, so the binary folds them into the published
-    // summary (CI greps for a nonzero count after corruption drills).
-    summary.set_skipped(skipped_records);
 
     match &summary {
         RunSummary::Driver(s) => eprintln!(

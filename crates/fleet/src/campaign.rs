@@ -2,38 +2,38 @@
 //!
 //! `ltds_sim::campaign` executes work units it can neither name nor build:
 //! the [`Scenario`] trait is its only view of fleet-scale work. This module
-//! is the fleet side of that contract — the "support code" that turns a
-//! [`FleetConfig`] into individually shippable per-shard work units:
+//! is the fleet side of that contract:
 //!
 //! * [`FleetScenario`] — the serde-round-trippable spec (name + fleet
 //!   config + seed) that rides inside a [`Campaign`];
-//! * [`PreparedFleet`] — the validated, ready-to-run form: the burst
-//!   timeline and placement index are built lazily *once* and shared
-//!   read-only by every worker that pulls one of this scenario's shards,
-//!   so shard units stay cheap no matter which threads execute them.
+//! * [`PreparedFleet`] — the validated, ready-to-run form, and the only
+//!   code that draws the burst timeline, builds the placement index, runs
+//!   a shard and folds a report ([`crate::FleetSim`] runs through it too);
+//! * [`fleet_reports`] — folds a streamed campaign back into one merged
+//!   [`FleetReport`] per scenario.
 //!
 //! A shard unit's [`CacheKey`] is exactly the key
 //! [`crate::FleetSim::run_cached`] uses — `(FleetConfig digest, seed,
 //! shard)` — so a campaign and a direct engine run share cache entries in
-//! both directions, and [`PreparedFleet::report`] folds the streamed
-//! outcomes back into the same bit-identical [`FleetReport`].
+//! both directions and fold to the same bit-identical [`FleetReport`].
 
 use crate::bursts::Burst;
 use crate::config::FleetConfig;
-use crate::engine::BURST_STREAM;
 use crate::kernel::{KernelScratch, ShardKernel};
 use crate::placement::PlacementIndex;
 use crate::report::{FleetReport, ShardOutcome};
 use ltds_core::error::ModelError;
 use ltds_sim::cache::{CacheKey, ConfigDigest};
-use ltds_sim::campaign::{
-    Campaign, PreparedScenario, RecordKind, ReportSink, Scenario, StreamRecord,
-};
+use ltds_sim::campaign::{Campaign, PreparedScenario, RecordKind, Scenario, StreamRecord};
 use ltds_stochastic::SimRng;
-use ltds_telemetry::{ShardParams, ShardTelemetry, TelemetryConfig};
+use ltds_telemetry::{ShardParams, ShardTelemetry, ShardTrace, TelemetryConfig};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
+
+/// RNG sub-stream index reserved for the burst timeline (group shards use
+/// `0..shards`, which never collides with this).
+const BURST_STREAM: u64 = u64::MAX;
 
 /// A campaign whose scenarios are fleet simulations.
 pub type FleetCampaign = Campaign<FleetScenario>;
@@ -50,41 +50,91 @@ pub struct FleetScenario {
     pub seed: u64,
 }
 
-/// Shared per-scenario context, built lazily by whichever worker touches
-/// the scenario first and reused by every other shard unit.
-struct FleetContext {
-    bursts: Vec<Burst>,
-    index: PlacementIndex,
-}
-
-/// The executable form of a [`FleetScenario`]: a validated config plus the
-/// lazily built burst timeline and placement index.
+/// The executable form of a fleet run at one master seed: a validated
+/// config plus the burst timeline and the placement index. Each is built
+/// lazily by the first shard that needs it, so [`PreparedFleet::report`]
+/// (which needs only the timeline) never builds the index.
 pub struct PreparedFleet {
     config: FleetConfig,
     seed: u64,
     digest: u64,
-    context: OnceLock<FleetContext>,
+    bursts: OnceLock<Vec<Burst>>,
+    index: OnceLock<PlacementIndex>,
 }
 
 impl PreparedFleet {
-    fn context(&self) -> &FleetContext {
-        self.context.get_or_init(|| {
-            let master = SimRng::seed_from(self.seed);
-            let mut burst_rng = master.fork(BURST_STREAM);
-            let bursts = self.config.bursts.timeline(
-                &self.config.topology,
-                self.config.horizon_hours,
-                &mut burst_rng,
-            );
-            let index = PlacementIndex::build(&self.config, !bursts.is_empty());
-            FleetContext { bursts, index }
+    /// Validates `config` for a run at master seed `seed`.
+    pub(crate) fn new(config: FleetConfig, seed: u64) -> Result<Self, ModelError> {
+        config.validate()?;
+        Ok(Self {
+            config,
+            seed,
+            digest: config.config_digest(),
+            bursts: OnceLock::new(),
+            index: OnceLock::new(),
         })
     }
 
+    /// The burst timeline, drawn from its own reserved sub-stream and
+    /// shared by every shard: cross-group correlation is identical no
+    /// matter how the fleet is partitioned, threaded or cached.
+    fn bursts(&self) -> &[Burst] {
+        self.bursts.get_or_init(|| {
+            let mut rng = SimRng::seed_from(self.seed).fork(BURST_STREAM);
+            self.config.bursts.timeline(&self.config.topology, self.config.horizon_hours, &mut rng)
+        })
+    }
+
+    /// The shard kernel over the shared timeline and placement index
+    /// (slot → drive, per-drive site/detection and, when bursts are
+    /// active, the drive → slots CSR the burst path walks).
+    fn kernel(&self) -> ShardKernel<'_> {
+        let bursts = self.bursts();
+        let index =
+            self.index.get_or_init(|| PlacementIndex::build(&self.config, !bursts.is_empty()));
+        ShardKernel::new(&self.config, bursts, index)
+    }
+
+    /// Simulates `shard` on its own RNG sub-stream, reusing `scratch` (one
+    /// per worker) for the per-slot state.
+    pub(crate) fn simulate(&self, shard: u32, scratch: &mut KernelScratch) -> ShardOutcome {
+        let rng = SimRng::seed_from(self.seed).fork(u64::from(shard));
+        self.kernel().run_with(shard as usize, rng, scratch)
+    }
+
+    /// [`PreparedFleet::simulate`] with telemetry probes: the same outcome
+    /// bits, plus the shard's trace.
+    pub(crate) fn simulate_traced(
+        &self,
+        shard: u32,
+        telemetry: TelemetryConfig,
+        scratch: &mut KernelScratch,
+    ) -> (ShardOutcome, ShardTrace) {
+        let kernel = self.kernel();
+        let params = ShardParams {
+            shard,
+            shards: self.config.shards as u32,
+            groups: kernel.groups_in_shard(shard as usize),
+            // The telemetry grid is strided by the widest policy; the
+            // kernel renumbers variable-width slots onto it (identity for
+            // uniform fleets).
+            replicas: self.config.slot_stride(),
+            sites: self.config.topology.sites,
+            horizon_hours: self.config.horizon_hours,
+            // The scrub-progress gauge tracks drive 0's tour as the
+            // fleet's representative phase.
+            scrub: self.config.detection_for_drive(0),
+        };
+        let mut sink = ShardTelemetry::new(params, telemetry);
+        let rng = SimRng::seed_from(self.seed).fork(u64::from(shard));
+        let outcome = kernel.run_probed(shard as usize, rng, scratch, &mut sink);
+        (outcome, sink.finish())
+    }
+
     /// Folds per-shard outcomes (in shard order, as streamed by the
-    /// campaign driver) back into the report [`crate::FleetSim::run`]
-    /// would have produced — bit-identical, since the merge walks the same
-    /// order.
+    /// campaign driver) into the run's report — bit-identical however the
+    /// shards were threaded, cached or streamed, since the merge always
+    /// walks shard order.
     pub fn report(&self, outcomes: &[ShardOutcome]) -> FleetReport {
         assert_eq!(
             outcomes.len(),
@@ -99,7 +149,7 @@ impl PreparedFleet {
             groups: self.config.groups,
             drives: self.config.topology.total_drives(),
             horizon_hours: self.config.horizon_hours,
-            bursts_struck: self.context().bursts.len() as u64,
+            bursts_struck: self.bursts().len() as u64,
             totals,
         }
     }
@@ -114,88 +164,7 @@ impl Scenario for FleetScenario {
     }
 
     fn prepare(&self) -> Result<PreparedFleet, ModelError> {
-        self.fleet.validate()?;
-        Ok(PreparedFleet {
-            config: self.fleet,
-            seed: self.seed,
-            digest: self.fleet.config_digest(),
-            context: OnceLock::new(),
-        })
-    }
-}
-
-/// A [`ReportSink`] adapter that tees every record to an inner sink while
-/// collecting the fleet-shard outcomes per scenario, so a campaign run can
-/// be folded into merged per-scenario [`FleetReport`]s afterwards (via
-/// [`FleetReportCollector::reports`]) without re-reading — or re-deriving —
-/// anything from the streamed JSONL.
-///
-/// Records arrive in unit order (the campaign driver's contract), so each
-/// scenario's outcomes accumulate already sorted by shard.
-pub struct FleetReportCollector<'a> {
-    inner: &'a mut dyn ReportSink,
-    by_task: BTreeMap<String, Vec<ShardOutcome>>,
-}
-
-impl<'a> FleetReportCollector<'a> {
-    /// Wraps an inner sink.
-    pub fn new(inner: &'a mut dyn ReportSink) -> Self {
-        Self { inner, by_task: BTreeMap::new() }
-    }
-
-    /// Folds the collected shard outcomes into one merged [`FleetReport`]
-    /// per scenario of `campaign`, in spec order — each bit-identical to
-    /// what [`crate::FleetSim::run`] would report for that scenario.
-    /// Scenarios whose shards were not all streamed (a truncated run) are
-    /// skipped with a warning on stderr.
-    pub fn reports(
-        &self,
-        campaign: &FleetCampaign,
-    ) -> Result<Vec<(String, FleetReport)>, ModelError> {
-        let mut out = Vec::new();
-        for scenario in &campaign.scenarios {
-            let outcomes = match self.by_task.get(&scenario.name) {
-                Some(outcomes) => outcomes,
-                None => {
-                    eprintln!("fleet-reports: scenario `{}` streamed no shards", scenario.name);
-                    continue;
-                }
-            };
-            if outcomes.len() != scenario.fleet.shards {
-                eprintln!(
-                    "fleet-reports: scenario `{}` streamed {} of {} shards; skipping",
-                    scenario.name,
-                    outcomes.len(),
-                    scenario.fleet.shards
-                );
-                continue;
-            }
-            let prepared = scenario.prepare()?;
-            out.push((scenario.name.clone(), prepared.report(outcomes)));
-        }
-        Ok(out)
-    }
-}
-
-impl ReportSink for FleetReportCollector<'_> {
-    fn record(&mut self, record: &StreamRecord) -> std::io::Result<()> {
-        if record.kind == RecordKind::FleetShard {
-            match ShardOutcome::from_value(&record.payload) {
-                Ok(outcome) => self.by_task.entry(record.task.clone()).or_default().push(outcome),
-                // Never silent: a payload that stops parsing (schema
-                // drift) would otherwise surface only as a misleading
-                // "streamed N of M shards" warning at report time.
-                Err(e) => eprintln!(
-                    "fleet-reports: cannot parse shard {} of `{}`: {e}",
-                    record.unit, record.task
-                ),
-            }
-        }
-        self.inner.record(record)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
+        PreparedFleet::new(self.fleet, self.seed)
     }
 }
 
@@ -213,35 +182,58 @@ impl PreparedScenario for PreparedFleet {
     }
 
     fn run_shard(&self, shard: u32) -> ShardOutcome {
-        let context = self.context();
-        let kernel = ShardKernel::new(&self.config, &context.bursts, &context.index);
-        let rng = SimRng::seed_from(self.seed).fork(u64::from(shard));
-        let mut scratch = KernelScratch::new();
-        kernel.run_with(shard as usize, rng, &mut scratch)
+        self.simulate(shard, &mut KernelScratch::new())
     }
 
     fn run_shard_traced(&self, shard: u32, telemetry: TelemetryConfig) -> (ShardOutcome, Value) {
-        let context = self.context();
-        let kernel = ShardKernel::new(&self.config, &context.bursts, &context.index);
-        let rng = SimRng::seed_from(self.seed).fork(u64::from(shard));
-        let mut scratch = KernelScratch::new();
-        let mut sink = ShardTelemetry::new(
-            ShardParams {
-                shard,
-                shards: self.config.shards as u32,
-                groups: kernel.groups_in_shard(shard as usize),
-                // Same stride the engine's traced path uses: the widest
-                // policy, identical to `group.replicas` for uniform fleets.
-                replicas: self.config.slot_stride(),
-                sites: self.config.topology.sites,
-                horizon_hours: self.config.horizon_hours,
-                scrub: self.config.detection_for_drive(0),
-            },
-            telemetry,
-        );
-        let outcome = kernel.run_probed(shard as usize, rng, &mut scratch, &mut sink);
-        (outcome, sink.finish().to_value())
+        let (outcome, trace) = self.simulate_traced(shard, telemetry, &mut KernelScratch::new());
+        (outcome, trace.to_value())
     }
+}
+
+/// Folds a campaign stream's fleet-shard records into one merged
+/// [`FleetReport`] per scenario of `campaign`, in spec order — each
+/// bit-identical to what [`crate::FleetSim::run`] reports for that
+/// scenario. Records arrive in unit order (the campaign driver's
+/// contract), so each scenario's outcomes are already sorted by shard;
+/// other record kinds are ignored. A scenario whose shards were not all
+/// streamed (a truncated run) is skipped with a warning on stderr, and so
+/// is a shard payload that does not parse.
+pub fn fleet_reports(
+    campaign: &FleetCampaign,
+    records: &[StreamRecord],
+) -> Result<Vec<(String, FleetReport)>, ModelError> {
+    let mut by_task: BTreeMap<&str, Vec<ShardOutcome>> = BTreeMap::new();
+    for record in records.iter().filter(|record| record.kind == RecordKind::FleetShard) {
+        match ShardOutcome::from_value(&record.payload) {
+            Ok(outcome) => by_task.entry(&record.task).or_default().push(outcome),
+            // Never silent: a payload that stops parsing (schema drift)
+            // would otherwise surface only as a misleading "streamed N of
+            // M shards" warning below.
+            Err(e) => eprintln!(
+                "fleet-reports: cannot parse shard {} of `{}`: {e}",
+                record.unit, record.task
+            ),
+        }
+    }
+    let mut out = Vec::new();
+    for scenario in &campaign.scenarios {
+        let Some(outcomes) = by_task.get(scenario.name.as_str()) else {
+            eprintln!("fleet-reports: scenario `{}` streamed no shards", scenario.name);
+            continue;
+        };
+        if outcomes.len() != scenario.fleet.shards {
+            eprintln!(
+                "fleet-reports: scenario `{}` streamed {} of {} shards; skipping",
+                scenario.name,
+                outcomes.len(),
+                scenario.fleet.shards
+            );
+            continue;
+        }
+        out.push((scenario.name.clone(), scenario.prepare()?.report(outcomes)));
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -251,7 +243,7 @@ mod tests {
     use crate::config::RepairBandwidth;
     use crate::engine::{FleetSim, ShardCache};
     use crate::topology::FleetTopology;
-    use ltds_sim::campaign::{CampaignDriver, MemorySink, RecordKind};
+    use ltds_sim::campaign::{CampaignDriver, MemorySink};
     use ltds_sim::config::SimConfig;
 
     fn scenario() -> FleetScenario {
@@ -298,6 +290,17 @@ mod tests {
     }
 
     #[test]
+    fn report_draws_the_timeline_but_never_builds_the_index() {
+        let scenario = scenario();
+        let prepared = scenario.prepare().unwrap();
+        let report = prepared.report(&vec![ShardOutcome::default(); scenario.fleet.shards]);
+        assert!(report.bursts_struck > 0, "the disaster scenario strikes bursts");
+        assert!(prepared.index.get().is_none(), "a report must not build the placement index");
+        prepared.run_shard(0);
+        assert!(prepared.index.get().is_some());
+    }
+
+    #[test]
     fn campaign_and_engine_share_cache_entries_both_ways() {
         let scenario = scenario();
         let cache = ShardCache::new();
@@ -331,31 +334,33 @@ mod tests {
         let engine = FleetSim::new(scenario.fleet).seed(scenario.seed).run().unwrap();
         let campaign = campaign();
 
-        let mut inner = MemorySink::new();
-        let mut collector = FleetReportCollector::new(&mut inner);
-        CampaignDriver::new(&campaign).threads(3).run(&mut collector).unwrap();
-        let reports = collector.reports(&campaign).unwrap();
+        let mut sink = MemorySink::new();
+        CampaignDriver::new(&campaign).threads(3).run(&mut sink).unwrap();
+        // Fold the stream as `--fleet-reports` does: read back from JSONL.
+        let records: Vec<StreamRecord> =
+            sink.to_jsonl().lines().map(|line| serde_json::from_str(line).unwrap()).collect();
+        let reports = fleet_reports(&campaign, &records).unwrap();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].0, "disaster");
         assert_eq!(
             serde_json::to_string(&reports[0].1).unwrap(),
             serde_json::to_string(&engine).unwrap(),
-            "collected shards merged in order must equal the engine's report"
+            "folded shards must equal the engine's report"
         );
-        // The tee is transparent: the inner sink saw the full stream.
+        // What is folded does not depend on the driver's thread count.
         let mut plain = MemorySink::new();
-        CampaignDriver::new(&campaign).threads(3).run(&mut plain).unwrap();
-        assert_eq!(inner.to_jsonl(), plain.to_jsonl());
+        CampaignDriver::new(&campaign).threads(1).run(&mut plain).unwrap();
+        assert_eq!(sink.to_jsonl(), plain.to_jsonl());
     }
 
     #[test]
     fn report_collector_skips_incomplete_scenarios() {
         let campaign = campaign();
-        let mut inner = MemorySink::new();
-        let mut collector = FleetReportCollector::new(&mut inner);
+        let mut sink = MemorySink::new();
         // Kill the campaign after half the shards: no merged report.
-        CampaignDriver::new(&campaign).threads(2).max_units(4).run(&mut collector).unwrap();
-        assert!(collector.reports(&campaign).unwrap().is_empty());
+        CampaignDriver::new(&campaign).threads(2).max_units(4).run(&mut sink).unwrap();
+        assert_eq!(sink.records().len(), 4);
+        assert!(fleet_reports(&campaign, sink.records()).unwrap().is_empty());
     }
 
     #[test]
@@ -368,6 +373,13 @@ mod tests {
         CampaignDriver::new(&campaign).threads(3).telemetry(telemetry).run(&mut cold).unwrap();
         let traces = cold.records().iter().filter(|r| r.kind == RecordKind::ShardTrace).count();
         assert_eq!(traces, scenario.fleet.shards, "one trace per simulated shard");
+        // The traces ride beside the shard results without changing the fold.
+        let engine = FleetSim::new(scenario.fleet).seed(scenario.seed).run().unwrap();
+        let reports = fleet_reports(&campaign, cold.records()).unwrap();
+        assert_eq!(
+            serde_json::to_string(&reports[0].1).unwrap(),
+            serde_json::to_string(&engine).unwrap()
+        );
 
         // Each trace rides directly behind its shard's result under the
         // same unit and key, and reconciles with that outcome.

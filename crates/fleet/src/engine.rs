@@ -4,8 +4,11 @@
 //! (`FleetConfig::shards`); each shard owns a deterministic RNG sub-stream
 //! (`SimRng::fork(shard)`, the same discipline `ltds_sim::MonteCarlo` uses
 //! for trials) and is simulated independently against the shared burst
-//! timeline. Worker threads merely pick up shards; results are merged in
-//! shard order, so the report is bit-identical for any thread count.
+//! timeline. [`FleetSim`] drives a [`PreparedFleet`] — the same prepared
+//! form a campaign streams shard by shard — over worker threads that take
+//! contiguous runs of shards, one [`KernelScratch`] each, and folds the
+//! outcomes in shard order, so the report is bit-identical for any thread
+//! count.
 //!
 //! Because each shard's outcome is a pure function of
 //! `(config, seed, shard)`, [`FleetSim::run_cached`] can memoise shards in
@@ -15,27 +18,19 @@
 //! cache-warm report is bit-identical to a cold one regardless of which
 //! shards came from where.
 
-use crate::bursts::Burst;
+use crate::campaign::PreparedFleet;
 use crate::config::FleetConfig;
-use crate::kernel::{KernelScratch, ShardKernel};
-use crate::placement::PlacementIndex;
+use crate::kernel::KernelScratch;
 use crate::report::{FleetReport, ShardOutcome};
 use ltds_core::error::ModelError;
-use ltds_sim::cache::{CacheKey, ConfigDigest, SweepCache};
-use ltds_stochastic::{parallel_ranges, SimRng};
-use ltds_telemetry::{
-    RunTrace, ShardParams, ShardTelemetry, TelemetryConfig, TraceMeta, TRACE_SCHEMA,
-};
+use ltds_sim::cache::SweepCache;
+use ltds_sim::campaign::PreparedScenario;
+use ltds_stochastic::parallel_ranges;
+use ltds_telemetry::{RunTrace, TelemetryConfig, TraceMeta, TRACE_SCHEMA};
 
 /// A content-addressed cache of per-shard fleet outcomes, keyed by
 /// `(FleetConfig digest, seed, shard)`. See [`FleetSim::run_cached`].
 pub type ShardCache = SweepCache<ShardOutcome>;
-
-/// RNG sub-stream index reserved for the burst timeline (group shards use
-/// `0..shards`, which never collides with this). Shared with
-/// `crate::campaign`, whose per-shard work units must reproduce the
-/// engine's draws exactly.
-pub(crate) const BURST_STREAM: u64 = u64::MAX;
 
 /// Builder/driver for a fleet simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -115,154 +110,61 @@ impl FleetSim {
     /// sinks are merged in shard order, so the trace (and its JSONL
     /// export) is byte-identical for any thread count.
     pub fn run_traced(&self) -> Result<(FleetReport, RunTrace), ModelError> {
-        self.config.validate()?;
-        let master = SimRng::seed_from(self.seed);
-        let mut burst_rng = master.fork(BURST_STREAM);
-        let bursts: Vec<Burst> = self.config.bursts.timeline(
-            &self.config.topology,
-            self.config.horizon_hours,
-            &mut burst_rng,
-        );
-
-        let shards = self.config.shards;
-        let index = PlacementIndex::build(&self.config, !bursts.is_empty());
-        let kernel = ShardKernel::new(&self.config, &bursts, &index);
-        // The scrub-progress gauge tracks drive 0's tour as the fleet's
-        // representative phase.
-        let scrub = self.config.detection_for_drive(0);
-
-        let per_worker = parallel_ranges(shards, self.threads, |range| {
-            let mut scratch = KernelScratch::new();
-            range
-                .map(|shard| {
-                    let rng = master.fork(shard as u64);
-                    let params = ShardParams {
-                        shard: shard as u32,
-                        shards: shards as u32,
-                        groups: kernel.groups_in_shard(shard),
-                        // The telemetry grid is strided by the widest
-                        // policy; the kernel renumbers variable-width
-                        // slots onto it (identity for uniform fleets).
-                        replicas: self.config.slot_stride(),
-                        sites: self.config.topology.sites,
-                        horizon_hours: self.config.horizon_hours,
-                        scrub,
-                    };
-                    let mut sink = ShardTelemetry::new(params, self.telemetry);
-                    let outcome = kernel.run_probed(shard, rng, &mut scratch, &mut sink);
-                    (outcome, sink.finish())
-                })
-                .collect::<Vec<_>>()
-        });
-
-        // Merge strictly in shard order, exactly like the untraced path:
-        // the ranges come back in order, so flattening them walks shards
-        // `0..shards`.
-        let mut totals = ShardOutcome::default();
-        let mut shard_traces = Vec::with_capacity(shards);
-        for (outcome, trace) in per_worker.into_iter().flatten() {
-            totals.merge(&outcome);
-            shard_traces.push(trace);
-        }
-
-        let report = FleetReport {
-            groups: self.config.groups,
-            drives: self.config.topology.total_drives(),
+        let fleet = PreparedFleet::new(self.config, self.seed)?;
+        let shards: Vec<u32> = (0..fleet.shards()).collect();
+        let (outcomes, traces): (Vec<ShardOutcome>, _) = self
+            .run_shards(&shards, |shard, scratch| {
+                fleet.simulate_traced(shard, self.telemetry, scratch)
+            })
+            .into_iter()
+            .unzip();
+        let meta = TraceMeta {
+            schema: TRACE_SCHEMA.to_string(),
+            seed: self.seed,
+            shards: fleet.shards(),
+            groups: self.config.groups as u64,
             horizon_hours: self.config.horizon_hours,
-            bursts_struck: bursts.len() as u64,
-            totals,
+            sample_period_hours: self.telemetry.sample_period_hours,
+            ring_capacity: self.telemetry.ring_capacity as u64,
         };
-        let trace = RunTrace {
-            meta: TraceMeta {
-                schema: TRACE_SCHEMA.to_string(),
-                seed: self.seed,
-                shards: shards as u32,
-                groups: self.config.groups as u64,
-                horizon_hours: self.config.horizon_hours,
-                sample_period_hours: self.telemetry.sample_period_hours,
-                ring_capacity: self.telemetry.ring_capacity as u64,
-            },
-            shards: shard_traces,
-        };
-        Ok((report, trace))
+        Ok((fleet.report(&outcomes), RunTrace { meta, shards: traces }))
     }
 
     fn run_impl(&self, cache: Option<&ShardCache>) -> Result<FleetReport, ModelError> {
-        self.config.validate()?;
-        let master = SimRng::seed_from(self.seed);
-
-        // The burst timeline is generated once, from its own reserved
-        // sub-stream, and shared by every shard: cross-group correlation is
-        // identical no matter how the fleet is partitioned or threaded.
-        // (Always regenerated, even on a fully cached run — it is a handful
-        // of draws and `bursts_struck` must stay bit-identical.)
-        let mut burst_rng = master.fork(BURST_STREAM);
-        let bursts: Vec<Burst> = self.config.bursts.timeline(
-            &self.config.topology,
-            self.config.horizon_hours,
-            &mut burst_rng,
-        );
-
-        let shards = self.config.shards;
-        let cached = cache.map(|cache| (cache, self.config.config_digest()));
-        let mut outcomes: Vec<Option<ShardOutcome>> = vec![None; shards];
-        let mut missing: Vec<usize> = Vec::new();
-        match cached {
-            Some((cache, digest)) => {
-                for (shard, slot) in outcomes.iter_mut().enumerate() {
-                    let key = CacheKey { digest, seed: self.seed, shard: shard as u32 };
-                    match cache.get(&key) {
-                        Some(outcome) => *slot = Some(outcome),
-                        None => missing.push(shard),
-                    }
-                }
+        let fleet = PreparedFleet::new(self.config, self.seed)?;
+        let mut outcomes: Vec<Option<ShardOutcome>> = (0..fleet.shards())
+            .map(|shard| cache.and_then(|cache| cache.get(&fleet.key(shard))))
+            .collect();
+        let missing: Vec<u32> =
+            (0..fleet.shards()).filter(|&shard| outcomes[shard as usize].is_none()).collect();
+        let fresh = self.run_shards(&missing, |shard, scratch| fleet.simulate(shard, scratch));
+        for (shard, outcome) in missing.into_iter().zip(fresh) {
+            if let Some(cache) = cache {
+                cache.insert(fleet.key(shard), outcome.clone());
             }
-            None => missing.extend(0..shards),
+            outcomes[shard as usize] = Some(outcome);
         }
+        let outcomes: Vec<ShardOutcome> = outcomes
+            .into_iter()
+            .map(|outcome| outcome.expect("every shard was simulated or cached"))
+            .collect();
+        Ok(fleet.report(&outcomes))
+    }
 
-        if !missing.is_empty() {
-            // Placement is resolved once and shared read-only by every
-            // shard: slot → drive, per-drive site/detection, and (when
-            // bursts are active) the drive → slots CSR the burst path
-            // walks.
-            let index = PlacementIndex::build(&self.config, !bursts.is_empty());
-            let kernel = ShardKernel::new(&self.config, &bursts, &index);
-            // Deal missing shards to workers in contiguous chunks.
-            let per_worker = parallel_ranges(missing.len(), self.threads, |range| {
-                // One scratch per worker: per-shard setup reuses the same
-                // buffers instead of reallocating.
-                let mut scratch = KernelScratch::new();
-                missing[range]
-                    .iter()
-                    .map(|&shard| {
-                        let rng = master.fork(shard as u64);
-                        (shard, kernel.run_with(shard, rng, &mut scratch))
-                    })
-                    .collect::<Vec<(usize, ShardOutcome)>>()
-            });
-
-            for (shard, outcome) in per_worker.into_iter().flatten() {
-                if let Some((cache, digest)) = cached {
-                    let key = CacheKey { digest, seed: self.seed, shard: shard as u32 };
-                    cache.insert(key, outcome.clone());
-                }
-                outcomes[shard] = Some(outcome);
-            }
-        }
-
-        // Merge strictly in shard order, wherever each outcome came from.
-        let mut totals = ShardOutcome::default();
-        for outcome in &outcomes {
-            totals.merge(outcome.as_ref().expect("every shard was simulated or cached"));
-        }
-
-        Ok(FleetReport {
-            groups: self.config.groups,
-            drives: self.config.topology.total_drives(),
-            horizon_hours: self.config.horizon_hours,
-            bursts_struck: bursts.len() as u64,
-            totals,
+    /// Deals `shards` to the workers in contiguous runs, one scratch per
+    /// worker, and returns the results in the order of `shards`.
+    fn run_shards<T: Send>(
+        &self,
+        shards: &[u32],
+        run: impl Fn(u32, &mut KernelScratch) -> T + Sync,
+    ) -> Vec<T> {
+        parallel_ranges(shards.len(), self.threads, |range| {
+            let mut scratch = KernelScratch::new();
+            shards[range].iter().map(|&shard| run(shard, &mut scratch)).collect::<Vec<_>>()
         })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -272,6 +174,7 @@ mod tests {
     use crate::bursts::BurstProfile;
     use crate::config::RepairBandwidth;
     use crate::topology::FleetTopology;
+    use ltds_sim::cache::{CacheKey, ConfigDigest};
     use ltds_sim::config::SimConfig;
 
     fn fragile_fleet(groups: usize) -> FleetConfig {

@@ -72,7 +72,7 @@ pub mod report;
 pub mod topology;
 
 pub use bursts::{Burst, BurstProfile, FaultDomain};
-pub use campaign::{FleetCampaign, FleetReportCollector, FleetScenario, PreparedFleet};
+pub use campaign::{fleet_reports, FleetCampaign, FleetScenario, PreparedFleet};
 pub use config::{
     FleetConfig, PolicyBand, PolicyBands, RedundancyPolicy, RepairBandwidth, ScrubTour,
     MAX_POLICY_BANDS,

@@ -55,7 +55,6 @@ pub mod config;
 pub mod monte_carlo;
 pub mod net;
 pub mod rare;
-pub mod replica;
 pub mod service;
 pub mod sweep;
 pub mod trial;

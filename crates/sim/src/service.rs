@@ -70,9 +70,10 @@ pub struct ServiceConfig {
     /// Ticks without any live worker before the service degrades to
     /// in-process execution; `None` never degrades (chaos drills).
     pub fallback_ticks: Option<u64>,
-    /// Outstanding leases allowed per worker.
-    pub max_inflight_per_worker: usize,
 }
+
+/// Outstanding leases allowed per worker.
+const MAX_INFLIGHT_PER_WORKER: usize = 2;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -82,7 +83,6 @@ impl Default for ServiceConfig {
             max_attempts: 3,
             backoff_base_ticks: 1,
             fallback_ticks: Some(8),
-            max_inflight_per_worker: 2,
         }
     }
 }
@@ -447,7 +447,7 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
             if !self.workers[idx].alive {
                 continue;
             }
-            while self.workers[idx].inflight.len() < self.config.max_inflight_per_worker {
+            while self.workers[idx].inflight.len() < MAX_INFLIGHT_PER_WORKER {
                 let Some(ordinal) = self.next_assignable() else { break };
                 let UnitState::Pending { attempts, .. } = self.states[ordinal] else {
                     unreachable!("next_assignable returns pending units")
@@ -660,9 +660,10 @@ pub struct ServiceHarness<'a, S: Scenario> {
     chaos: Vec<ChaosScript>,
     point_cache: Option<&'a SweepCache<MttdlEstimate>>,
     shard_cache: Option<&'a SweepCache<S::Outcome>>,
-    respawn: bool,
-    max_ticks: u64,
 }
+
+/// Ticks a [`ServiceHarness`] run may take before it is declared stalled.
+const HARNESS_MAX_TICKS: u64 = 10_000;
 
 impl<'a, S: Scenario> ServiceHarness<'a, S> {
     /// A harness over `workers` fault-free simulated workers.
@@ -674,8 +675,6 @@ impl<'a, S: Scenario> ServiceHarness<'a, S> {
             chaos: Vec::new(),
             point_cache: None,
             shard_cache: None,
-            respawn: true,
-            max_ticks: 10_000,
         }
     }
 
@@ -691,18 +690,6 @@ impl<'a, S: Scenario> ServiceHarness<'a, S> {
             self.chaos.resize_with(index + 1, ChaosScript::default);
         }
         self.chaos[index] = script;
-        self
-    }
-
-    /// Whether crashed workers respawn (next tick, incarnation + 1).
-    pub fn respawn(mut self, respawn: bool) -> Self {
-        self.respawn = respawn;
-        self
-    }
-
-    /// Tick budget before the run is declared stalled.
-    pub fn max_ticks(mut self, max_ticks: u64) -> Self {
-        self.max_ticks = max_ticks;
         self
     }
 
@@ -759,24 +746,24 @@ impl<'a, S: Scenario> ServiceHarness<'a, S> {
         let mut tick: u64 = 0;
         while !service.is_done() {
             tick += 1;
-            if tick > self.max_ticks {
+            if tick > HARNESS_MAX_TICKS {
                 return Err(CampaignError::Stalled { ticks: tick });
             }
             for (index, worker) in fleet.iter_mut().enumerate() {
                 let chaos = self.chaos.get(index).unwrap_or(&default_chaos);
                 if !worker.alive {
-                    if self.respawn {
-                        worker.incarnation += 1;
-                        worker.alive = true;
-                        worker.inbox.clear();
-                        worker.outbox.clear();
-                        worker.dropped.clear();
-                        let hello = WorkerMsg::Hello {
-                            worker: worker.name.clone(),
-                            incarnation: worker.incarnation,
-                        };
-                        service.handle(&hello, sink)?;
-                    }
+                    // A crashed worker respawns the next tick as its next
+                    // incarnation.
+                    worker.incarnation += 1;
+                    worker.alive = true;
+                    worker.inbox.clear();
+                    worker.outbox.clear();
+                    worker.dropped.clear();
+                    let hello = WorkerMsg::Hello {
+                        worker: worker.name.clone(),
+                        incarnation: worker.incarnation,
+                    };
+                    service.handle(&hello, sink)?;
                     continue;
                 }
                 if chaos.silent_window.is_some_and(|(from, to)| tick >= from && tick < to) {
@@ -1176,7 +1163,6 @@ mod tests {
             max_attempts: 2,
             backoff_base_ticks: 0,
             fallback_ticks: None,
-            max_inflight_per_worker: 2,
         };
         let mut service = CampaignService::new(campaign.clone(), config).unwrap();
         let mut sink = MemorySink::new();
@@ -1273,7 +1259,6 @@ mod tests {
             max_attempts: 3,
             backoff_base_ticks: 0,
             fallback_ticks: None,
-            max_inflight_per_worker: 2,
         };
         let mut service = CampaignService::new(campaign.clone(), config).unwrap();
         let mut sink = MemorySink::new();
@@ -1367,7 +1352,6 @@ mod tests {
         max_attempts: 2,
         backoff_base_ticks: 0,
         fallback_ticks: None,
-        max_inflight_per_worker: 2,
     };
     /// Ticks a fair worker gets to finish from any explored state: silent
     /// holders lose their leases within `lease_ticks + 1` ticks, and the

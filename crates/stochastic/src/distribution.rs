@@ -8,9 +8,9 @@ use crate::rng::SimRng;
 use crate::ziggurat;
 use serde::{Deserialize, Serialize};
 
-/// How exponential deviates are drawn from the hot-path samplers
-/// ([`FaultRace`], [`Exponential`]'s batched form): the inverse-CDF
-/// `-m·ln(U)` (one `ln` per draw, the PR 1–4 random stream) or the
+/// How exponential deviates are drawn by the hot-path sampler
+/// ([`FaultRace`], and through it [`BiasedFaultRace`]): the inverse-CDF
+/// `-m·ln(U)` (one `ln` per draw, the pre-ziggurat random stream) or the
 /// [`ZigguratExp`] rejection sampler (no `ln` on ~98.9 % of draws).
 ///
 /// Both draw from *exactly* the same distribution — the choice changes how
@@ -125,27 +125,6 @@ impl Exponential {
 }
 
 impl Exponential {
-    /// Fills `out` with independent samples, consuming the RNG exactly as
-    /// `out.len()` sequential [`Distribution::sample`] calls would. The
-    /// uniforms are drawn up front in chunks and transformed in a separate
-    /// fixed-stride pass, so the draw loop and the `ln` loop each stay
-    /// tight — but the consumed values and their order are identical to the
-    /// sequential path, so no random stream changes. (For the stream-
-    /// *incompatible* but `ln`-free wide path, see
-    /// [`ZigguratExp::sample_batch`].)
-    #[inline]
-    pub fn sample_batch(&self, rng: &mut SimRng, out: &mut [f64]) {
-        const CHUNK: usize = 64;
-        for block in out.chunks_mut(CHUNK) {
-            for slot in block.iter_mut() {
-                *slot = rng.open01();
-            }
-            for slot in block.iter_mut() {
-                *slot = -self.mean * slot.ln();
-            }
-        }
-    }
-
     /// The ziggurat view of this distribution: same law, `ln`-free draws,
     /// different random-stream consumption (see [`DrawDiscipline`]).
     pub fn ziggurat(&self) -> ZigguratExp {
@@ -275,19 +254,6 @@ impl ZigguratExp {
     pub fn standard(rng: &mut SimRng) -> f64 {
         ziggurat::standard(rng)
     }
-
-    /// Fills `out` with independent samples: raw bits for a whole chunk are
-    /// drawn up front and transformed in a fixed-stride lookup/multiply/
-    /// compare pass, with the rare rejections resolved scalar afterwards.
-    /// Deterministic, but consumes the RNG in a different order than
-    /// sequential [`Distribution::sample`] calls (see [`DrawDiscipline`]).
-    #[inline]
-    pub fn sample_batch(&self, rng: &mut SimRng, out: &mut [f64]) {
-        ziggurat::fill_standard(rng, out);
-        for slot in out.iter_mut() {
-            *slot *= self.mean;
-        }
-    }
 }
 
 impl Distribution for ZigguratExp {
@@ -409,42 +375,6 @@ impl FaultRace {
     #[inline]
     pub fn sample_winner(&self, rng: &mut SimRng) -> bool {
         rng.uniform01() < self.p_first
-    }
-
-    /// Fills `out` with independent race draws — the batched multi-replica
-    /// fault draw: simulators sample every replica's first fault in one
-    /// tight pass at setup.
-    ///
-    /// Under [`DrawDiscipline::Scalar`] the stream is exactly `out.len()`
-    /// sequential [`FaultRace::sample`] calls. Under
-    /// [`DrawDiscipline::Ziggurat`] the delays of a whole chunk are drawn
-    /// wide ([`ZigguratExp::sample_batch`]-style: raw bits up front,
-    /// fixed-stride transform, `ln` only on parked rejections) and the
-    /// winner identities follow in a second pass — deterministic, but a
-    /// different consumption order than sequential calls.
-    #[inline]
-    pub fn sample_batch(&self, rng: &mut SimRng, out: &mut [(f64, bool)]) {
-        match self.draw {
-            DrawDiscipline::Scalar => {
-                for slot in out.iter_mut() {
-                    *slot = self.sample(rng);
-                }
-            }
-            DrawDiscipline::Ziggurat => {
-                const CHUNK: usize = 64;
-                let mut delays = [0.0f64; CHUNK];
-                for block in out.chunks_mut(CHUNK) {
-                    let delays = &mut delays[..block.len()];
-                    ziggurat::fill_standard(rng, delays);
-                    for (slot, &delay) in block.iter_mut().zip(delays.iter()) {
-                        slot.0 = delay * self.combined_mean;
-                    }
-                    for slot in block.iter_mut() {
-                        slot.1 = rng.uniform01() < self.p_first;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1040,20 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_batch_matches_sequential_stream() {
-        let d = Exponential::with_mean(17.0);
-        let mut batch_rng = SimRng::seed_from(11);
-        let mut seq_rng = SimRng::seed_from(11);
-        let mut batch = [0.0f64; 64];
-        d.sample_batch(&mut batch_rng, &mut batch);
-        for (i, &b) in batch.iter().enumerate() {
-            assert_eq!(b, d.sample(&mut seq_rng), "sample {i} diverged");
-        }
-        // The generators themselves are left in identical states.
-        assert_eq!(batch_rng.uniform01(), seq_rng.uniform01());
-    }
-
-    #[test]
     fn truncated_exponential_stays_inside_the_bound() {
         let d = Exponential::with_mean(100.0);
         let mut rng = SimRng::seed_from(31);
@@ -1211,19 +1127,6 @@ mod tests {
     }
 
     #[test]
-    fn ziggurat_batch_passes_a_ks_test() {
-        // Wide path: same band, exercising the chunked fill (fast pass,
-        // parked rejections, wedge and tail resolution).
-        let n = 50_000usize;
-        let z = ZigguratExp::with_mean(1.0);
-        let mut rng = SimRng::seed_from(102);
-        let mut xs = vec![0.0f64; n];
-        z.sample_batch(&mut rng, &mut xs);
-        let d = ks_vs_unit_exponential(&mut xs);
-        assert!(d < 1.95 / (n as f64).sqrt(), "batch KS statistic {d}");
-    }
-
-    #[test]
     fn ziggurat_tail_is_exact_beyond_r() {
         // Beyond R the law is exponential again: the exceedance fraction
         // must match e^{-R} and the exceedances themselves must be
@@ -1258,8 +1161,7 @@ mod tests {
         let n = 60_000;
         let summarize = |race: &FaultRace, seed: u64| {
             let mut rng = SimRng::seed_from(seed);
-            let mut out = vec![(0.0, false); n];
-            race.sample_batch(&mut rng, &mut out);
+            let out: Vec<(f64, bool)> = (0..n).map(|_| race.sample(&mut rng)).collect();
             let mean: f64 = out.iter().map(|&(d, _)| d).sum::<f64>() / n as f64;
             let first = out.iter().filter(|&&(_, f)| f).count() as f64 / n as f64;
             (mean, first)
@@ -1302,8 +1204,7 @@ mod tests {
         let race = FaultRace::new(mv, ml);
         let n = 60_000;
         let mut rng = SimRng::seed_from(21);
-        let mut out = vec![(0.0, false); n];
-        race.sample_batch(&mut rng, &mut out);
+        let out: Vec<(f64, bool)> = (0..n).map(|_| race.sample(&mut rng)).collect();
         let mean: f64 = out.iter().map(|&(d, _)| d).sum::<f64>() / n as f64;
         let first_frac = out.iter().filter(|&&(_, f)| f).count() as f64 / n as f64;
 

@@ -4,7 +4,7 @@
 //! byte-identical to the in-process driver's. `tests/campaign_tcp.rs`
 //! drives the same service over real sockets.
 
-use ltds::fleet::{FleetCampaign, FleetConfig, FleetReportCollector, FleetScenario, FleetTopology};
+use ltds::fleet::{fleet_reports, FleetCampaign, FleetConfig, FleetScenario, FleetTopology};
 use ltds::sim::campaign::{Campaign, CampaignDriver, MemorySink, SweepAxis, SweepSpec};
 use ltds::sim::config::SimConfig;
 use ltds::sim::service::{ChaosScript, ServiceConfig, ServiceHarness};
@@ -38,40 +38,37 @@ fn driver_reference(campaign: &FleetCampaign) -> String {
     sink.to_jsonl()
 }
 
+/// The merged fleet reports of a streamed run, as JSON text per scenario.
+fn merged_reports(campaign: &FleetCampaign, sink: &MemorySink) -> Vec<(String, String)> {
+    fleet_reports(campaign, sink.records())
+        .unwrap()
+        .into_iter()
+        .map(|(name, report)| (name, serde_json::to_string(&report).unwrap()))
+        .collect()
+}
+
 #[test]
 fn fleet_reports_merge_identically_under_worker_crashes() {
     let campaign = small_campaign(31);
 
     // Reference: merged per-scenario reports from a clean driver run.
     let mut reference_sink = MemorySink::new();
-    let mut collector = FleetReportCollector::new(&mut reference_sink);
-    CampaignDriver::new(&campaign).threads(2).run(&mut collector).unwrap();
-    let reference: Vec<(String, String)> = collector
-        .reports(&campaign)
-        .unwrap()
-        .into_iter()
-        .map(|(name, report)| (name, serde_json::to_string(&report).unwrap()))
-        .collect();
+    CampaignDriver::new(&campaign).threads(2).run(&mut reference_sink).unwrap();
+    let reference = merged_reports(&campaign, &reference_sink);
     assert!(!reference.is_empty());
 
     // Chaos: workers crash on two units (once each) and respawn; the
     // re-issued leases must leave the merged reports bit-identical.
     let mut sink = MemorySink::new();
-    let mut collector = FleetReportCollector::new(&mut sink);
     let summary = ServiceHarness::new(&campaign, 3)
         .chaos(
             0,
             ChaosScript { kill_on_units: vec![1, 4], kill_budget: 2, ..ChaosScript::default() },
         )
         .config(ServiceConfig { fallback_ticks: None, ..ServiceConfig::default() })
-        .run(&mut collector)
+        .run(&mut sink)
         .unwrap();
-    let chaotic: Vec<(String, String)> = collector
-        .reports(&campaign)
-        .unwrap()
-        .into_iter()
-        .map(|(name, report)| (name, serde_json::to_string(&report).unwrap()))
-        .collect();
+    let chaotic = merged_reports(&campaign, &sink);
 
     assert_eq!(chaotic, reference, "crash recovery changed a merged fleet report");
     assert_eq!(summary.units_done, summary.units_total);
