@@ -416,9 +416,10 @@ mod tests {
     /// ranges and over uneven cuts gives `run()`'s bits.
     fn assert_every_split_folds_to(run: &MttdlEstimate, mc: MonteCarlo, what: &str) {
         let trials = mc.trials;
+        let cut = 97.min(trials - 1);
         let whole: Vec<Range<u64>> = std::iter::once(0..trials).collect();
         for partition in
-            [whole, (0..trials).map(|i| i..i + 1).collect(), vec![0..1, 1..97, 97..trials]]
+            [whole, (0..trials).map(|i| i..i + 1).collect(), vec![0..1, 1..cut, cut..trials]]
         {
             let parts = partition.len();
             let folded = mc.estimate(partition.into_iter().map(|roots| mc.run_trials(roots)));
@@ -428,14 +429,34 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed_regardless_of_threads() {
-        let a = MonteCarlo::new(fast_config()).trials(500).seed(9).threads(1).run();
-        for threads in [2, 3, 8] {
-            let b = MonteCarlo::new(fast_config()).trials(500).seed(9).threads(threads).run();
-            assert_same_bits(&a, &b, &format!("{threads} threads"));
+        // The fragile mirror, and the demo `replication` sweep's 4-replica
+        // α = 0.5 point (thousands of faults per trial, both α-redraws).
+        let correlated = SimConfig::new(
+            4,
+            1,
+            1000.0,
+            5000.0,
+            10.0,
+            10.0,
+            crate::config::DetectionModel::PeriodicScrub { period_hours: 100.0 },
+            0.5,
+        )
+        .unwrap();
+        for (config, trials) in [(fast_config(), 500), (correlated, 12)] {
+            let mc = MonteCarlo::new(config).trials(trials).seed(9);
+            let a = mc.threads(1).run();
+            for threads in [2, 3, 8] {
+                let b = mc.threads(threads).run();
+                assert_same_bits(
+                    &a,
+                    &b,
+                    &format!("{} replicas, {threads} threads", config.replicas),
+                );
+            }
+            assert_every_split_folds_to(&a, mc, &format!("{} replicas", config.replicas));
+            let c = MonteCarlo::new(config).trials(trials).seed(10).threads(4).run();
+            assert_ne!(a.mttdl_hours.estimate, c.mttdl_hours.estimate);
         }
-        assert_every_split_folds_to(&a, MonteCarlo::new(fast_config()).trials(500).seed(9), "");
-        let c = MonteCarlo::new(fast_config()).trials(500).seed(10).threads(4).run();
-        assert_ne!(a.mttdl_hours.estimate, c.mttdl_hours.estimate);
     }
 
     /// Folds `run_trials` over `ranges` of a 10-trial run.

@@ -36,20 +36,31 @@ impl TrialOutcome {
     }
 }
 
+/// One replica's pending event: the time of its next fault while intact,
+/// of its repair completion while faulty, and the class of that fault.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    time: f64,
+    class: FaultClass,
+    faulty: bool,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot { time: f64::INFINITY, class: FaultClass::Visible, faulty: false };
+}
+
 /// Reusable per-trial state: a Monte-Carlo worker allocates one scratch
 /// and runs every trial through it, making the per-trial hot path
 /// allocation-free.
 ///
-/// State is kept flat — one pending-event time per replica (next fault if
-/// intact, repair completion if faulty), a faulty flag and the pending
-/// fault's class — so the event loop's "find the earliest event" scan is a
-/// pure float argmin with no enum matching. The scalars carry a path
-/// across a splitting threshold (`crate::rare` clones the whole state).
+/// One slot per replica holds its pending-event time (next fault if
+/// intact, repair completion if faulty), its faulty flag and the pending
+/// fault's class, so the loop's "find the earliest event" scan is a pure
+/// float argmin with no enum matching. The scalars carry a path across a
+/// splitting threshold (`crate::rare` clones the whole state).
 #[derive(Debug, Clone, Default)]
 pub struct TrialScratch {
-    next_time: Vec<f64>,
-    class: Vec<FaultClass>,
-    faulty: Vec<bool>,
+    slots: Vec<Slot>,
     faulty_count: usize,
     faults: u64,
     repairs: u64,
@@ -77,8 +88,7 @@ impl TrialScratch {
     /// split that froze this path, so sibling clones resolve the race to
     /// the next fault independently.
     pub(crate) fn redraw_intact<R: Race>(&mut self, races: &Races<R>, rng: &mut SimRng) {
-        let Self { next_time, class, faulty, llr, now, .. } = self;
-        races.redraw_intact(rng, *now, faulty, next_time, class, llr);
+        races.redraw(rng, self.now, &mut self.slots, None, true, &mut self.llr);
     }
 }
 
@@ -93,6 +103,7 @@ pub(crate) trait Race: Copy {
     fn draw(&self, rng: &mut SimRng, llr: &mut f64) -> (f64, FaultClass);
 }
 
+#[inline(always)]
 fn class_of(visible: bool) -> FaultClass {
     if visible {
         FaultClass::Visible
@@ -102,7 +113,7 @@ fn class_of(visible: bool) -> FaultClass {
 }
 
 impl Race for FaultRace {
-    #[inline]
+    #[inline(always)]
     fn draw(&self, rng: &mut SimRng, _llr: &mut f64) -> (f64, FaultClass) {
         let (delay, visible) = self.sample(rng);
         (delay, class_of(visible))
@@ -110,7 +121,7 @@ impl Race for FaultRace {
 }
 
 impl Race for BiasedFaultRace {
-    #[inline]
+    #[inline(always)]
     fn draw(&self, rng: &mut SimRng, llr: &mut f64) -> (f64, FaultClass) {
         let (delay, visible, increment) = self.sample(rng);
         *llr += increment;
@@ -143,33 +154,49 @@ impl<R: Race> Races<R> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn draw(&self, rng: &mut SimRng, accel: bool, llr: &mut f64) -> (f64, FaultClass) {
         if accel { &self.accel } else { &self.normal }.draw(rng, llr)
     }
 
-    /// Redraws every intact replica's pending fault from `now` at the
-    /// accelerated rates — exact for exponential inter-arrival times by
-    /// memorylessness. Faulty replicas keep their pending repair
-    /// completions.
-    #[inline]
-    fn redraw_intact(
+    /// Redraws from `now` the pending fault of every intact replica but
+    /// `skip`, at the accelerated rates if `accel` — exact for exponential
+    /// inter-arrival times by memorylessness. Faulty replicas keep their
+    /// pending repair completions.
+    #[inline(always)]
+    fn redraw(
         &self,
         rng: &mut SimRng,
         now: f64,
-        faulty: &[bool],
-        next_time: &mut [f64],
-        class: &mut [FaultClass],
+        slots: &mut [Slot],
+        skip: Option<usize>,
+        accel: bool,
         llr: &mut f64,
     ) {
-        for i in 0..faulty.len() {
-            if !faulty[i] {
-                let (d, c) = self.draw(rng, true, llr);
-                next_time[i] = now + d;
-                class[i] = c;
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if !slot.faulty && skip != Some(i) {
+                let (d, c) = self.draw(rng, accel, llr);
+                slot.time = now + d;
+                slot.class = c;
             }
         }
     }
+}
+
+/// Index and time of the earliest pending event, the lowest index on a
+/// tie; `usize::MAX` if none is below infinity. Written as two selects,
+/// which compile to a `minsd` and a conditional move: the comparisons
+/// follow the random event times, so branches on them would mispredict.
+#[inline(always)]
+fn earliest(slots: &[Slot]) -> (usize, f64) {
+    let mut best_time = f64::INFINITY;
+    let mut best = usize::MAX;
+    for (i, slot) in slots.iter().enumerate() {
+        let earlier = slot.time < best_time;
+        best_time = if earlier { slot.time } else { best_time };
+        best = if earlier { i } else { best };
+    }
+    (best, best_time)
 }
 
 /// Runs trials for one configuration.
@@ -202,6 +229,7 @@ impl TrialRunner {
 
     /// Time at which a fault occurring at `t` of the given class will have
     /// been detected and repaired.
+    #[inline(always)]
     fn repair_completion(&self, t: f64, class: FaultClass, rng: &mut SimRng) -> f64 {
         match class {
             FaultClass::Visible => t + self.config.repair_visible_hours,
@@ -211,7 +239,9 @@ impl TrialRunner {
                     DetectionModel::PeriodicScrub { period_hours } => {
                         (t / period_hours).floor() * period_hours + period_hours
                     }
-                    DetectionModel::Exponential { mean_hours } => t + rng.exponential(mean_hours),
+                    DetectionModel::Exponential { mean_hours } => {
+                        t + rng.detached(move |rng| rng.exponential(mean_hours))
+                    }
                 };
                 detected_at + self.config.repair_latent_hours
             }
@@ -265,8 +295,7 @@ impl TrialRunner {
     }
 
     /// Starts a path at time zero: every replica intact, with its first
-    /// fault drawn at the baseline rates (the replica counts here are far
-    /// below the batch chunk size, so the scalar loop is the fast path).
+    /// fault drawn at the baseline rates in replica order.
     #[inline]
     pub(crate) fn start<R: Race>(
         &self,
@@ -274,18 +303,15 @@ impl TrialRunner {
         rng: &mut SimRng,
         path: &mut TrialScratch,
     ) {
-        let n = self.config.replicas;
+        path.slots.resize(self.config.replicas, Slot::EMPTY);
+        let mut stream = rng.clone();
         let mut llr = 0.0;
-        path.next_time.clear();
-        path.class.clear();
-        for _ in 0..n {
-            let (delay, class) = races.draw(rng, false, &mut llr);
-            path.next_time.push(delay);
-            path.class.push(class);
+        for slot in &mut path.slots {
+            let (time, class) = races.draw(&mut stream, false, &mut llr);
+            *slot = Slot { time, class, faulty: false };
         }
+        *rng = stream;
         path.llr = llr;
-        path.faulty.clear();
-        path.faulty.resize(n, false);
         path.faulty_count = 0;
         path.faults = 0;
         path.repairs = 0;
@@ -298,6 +324,14 @@ impl TrialRunner {
     /// splitting threshold; any value at or above the loss threshold never
     /// triggers). The caller then replaces the path with clones, so the
     /// `α`-resample that fault would have drawn is skipped.
+    ///
+    /// The loop keeps its state where the compiler can hold it in
+    /// registers: the random stream is a local copy written back once at
+    /// the end, the counters are locals, and the draw pipeline (xoshiro
+    /// step, ziggurat, fault race) is forced inline. Its cold draws (the
+    /// ziggurat's slow layers, `ln`-priced exponentials) run out of line on
+    /// a detached copy of the stream, so the stream never needs an
+    /// address; only the replica slots live in memory.
     // Inlined into each caller: as a call, its prologue and the state it
     // passes cost short, mostly censored trials 10–15 % of their time.
     #[inline(always)]
@@ -309,52 +343,45 @@ impl TrialRunner {
         split_at: usize,
         probe: &mut P,
     ) -> Option<TrialOutcome> {
-        let n = self.config.replicas;
         let loss_threshold = self.config.loss_threshold();
         let stop_at = split_at.min(loss_threshold);
+        let correlated = self.config.alpha < 1.0;
+        let max_hours = self.config.max_hours;
+        let mut stream = rng.clone();
         let mut faulty_count = path.faulty_count;
         let mut faults = path.faults;
         let mut repairs = path.repairs;
         let mut llr = path.llr;
-        let TrialScratch { next_time, class, faulty, .. } = path;
+        let slots = path.slots.as_mut_slice();
 
         let (end, now) = loop {
-            // Find the earliest pending event — a fault at an intact
-            // replica or a repair completion at a faulty one; `next_time`
-            // holds whichever applies, so this is a plain float argmin.
-            let mut best_time = f64::INFINITY;
-            let mut best_replica = usize::MAX;
-            for (i, &t) in next_time.iter().enumerate() {
-                if t < best_time {
-                    best_time = t;
-                    best_replica = i;
-                }
-            }
-
-            if best_time > self.config.max_hours || best_replica == usize::MAX {
+            // The earliest pending event: a fault at an intact replica or
+            // a repair completion at a faulty one, whichever its slot holds.
+            let (best, now) = earliest(slots);
+            if now > max_hours || best == usize::MAX {
                 let outcome =
                     TrialOutcome { loss_time_hours: None, faults, repairs, fatal_fault: None };
-                break (Some(outcome), best_time);
+                break (Some(outcome), now);
             }
-            let now = best_time;
             let faulty_before = faulty_count;
             if P::ENABLED {
                 // Occupancy for a trial is the number of replicas with a
                 // finite pending event (latent faults under
                 // `DetectionModel::Never` park at infinity).
-                probe.tick(now, next_time.iter().filter(|t| t.is_finite()).count());
+                probe.tick(now, slots.iter().filter(|s| s.time.is_finite()).count());
             }
 
-            if !faulty[best_replica] {
-                let fault_class = class[best_replica];
-                faulty[best_replica] = true;
-                next_time[best_replica] = self.repair_completion(now, fault_class, rng);
+            let slot = &mut slots[best];
+            if !slot.faulty {
+                let fault_class = slot.class;
+                slot.faulty = true;
+                slot.time = self.repair_completion(now, fault_class, &mut stream);
                 faulty_count += 1;
                 faults += 1;
                 if P::ENABLED {
                     probe.record(
                         now,
-                        best_replica as u32,
+                        best as u32,
                         ProbeEvent::Fault {
                             class: fault_class,
                             from_burst: false,
@@ -383,24 +410,24 @@ impl TrialRunner {
                 }
                 // Correlation state may have changed: resample pending faults
                 // for the remaining intact replicas at the accelerated rate.
-                if faulty_before == 0 && self.config.alpha < 1.0 {
-                    races.redraw_intact(rng, now, faulty, next_time, class, &mut llr);
+                if faulty_before == 0 && correlated {
+                    races.redraw(&mut stream, now, slots, None, true, &mut llr);
                 }
             } else {
                 // Repair completes; replica returns to service with a fresh
                 // copy (an intact source must exist, otherwise the loss
                 // threshold would already have been crossed).
-                faulty[best_replica] = false;
+                slot.faulty = false;
                 faulty_count -= 1;
                 repairs += 1;
                 if P::ENABLED {
-                    // `class[best_replica]` still holds the repaired fault's
-                    // class; the resample below reassigns it.
+                    // The slot still holds the repaired fault's class; the
+                    // resample below reassigns it.
                     probe.record(
                         now,
-                        best_replica as u32,
+                        best as u32,
                         ProbeEvent::RepairDone {
-                            class: class[best_replica],
+                            class: slot.class,
                             site: 0,
                             faulty: faulty_count as u16,
                         },
@@ -408,20 +435,15 @@ impl TrialRunner {
                 }
                 // Sample the repaired replica's next fault, and if the system
                 // just became fault-free, de-accelerate the others.
-                let (d, c) = races.draw(rng, faulty_count > 0, &mut llr);
-                next_time[best_replica] = now + d;
-                class[best_replica] = c;
-                if faulty_count == 0 && self.config.alpha < 1.0 {
-                    for i in 0..n {
-                        if i != best_replica && !faulty[i] {
-                            let (d, c) = races.draw(rng, false, &mut llr);
-                            next_time[i] = now + d;
-                            class[i] = c;
-                        }
-                    }
+                let (d, c) = races.draw(&mut stream, faulty_count > 0, &mut llr);
+                slot.time = now + d;
+                slot.class = c;
+                if faulty_count == 0 && correlated {
+                    races.redraw(&mut stream, now, slots, Some(best), false, &mut llr);
                 }
             }
         };
+        *rng = stream;
         path.faulty_count = faulty_count;
         path.faults = faults;
         path.repairs = repairs;
@@ -465,7 +487,9 @@ mod tests {
     #[test]
     fn probed_trial_matches_unprobed_and_reconciles_counters() {
         use ltds_telemetry::{ShardParams, ShardTelemetry, TelemetryConfig};
-        let config = fast_config(Some(100.0), 0.5);
+        // A capped horizon: `finish` pads the monthly samples out to it,
+        // which at the default million-year cap is 12 million per trial.
+        let config = fast_config(Some(100.0), 0.5).with_max_hours(50_000.0);
         let runner = TrialRunner::new(config);
         let params = ShardParams {
             shard: 0,
@@ -493,6 +517,15 @@ mod tests {
                 assert!(!post.events.is_empty(), "the ring should hold the fatal event");
             }
         }
+    }
+
+    #[test]
+    fn earliest_takes_the_first_minimum_and_skips_infinity() {
+        let slot = |time| Slot { time, ..Slot::EMPTY };
+        assert_eq!(earliest(&[slot(3.0), slot(1.0), slot(1.0), slot(2.0)]), (1, 1.0));
+        assert_eq!(earliest(&[slot(f64::INFINITY), slot(5.0)]), (1, 5.0));
+        assert_eq!(earliest(&[slot(f64::INFINITY); 3]), (usize::MAX, f64::INFINITY));
+        assert_eq!(earliest(&[]), (usize::MAX, f64::INFINITY));
     }
 
     #[test]

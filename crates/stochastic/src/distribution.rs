@@ -352,27 +352,34 @@ impl FaultRace {
 
     /// Draws `(delay, first_won)`: the time of the earlier fault and
     /// whether the first clock produced it.
-    #[inline]
+    ///
+    /// The Monte-Carlo trial loop draws through this and keeps its stream
+    /// in registers, so the draw pipeline is forced inline and its cold
+    /// draws (the ziggurat's slow layers, the scalar inverse CDF) run on a
+    /// detached copy of the stream ([`SimRng::detached`]).
+    #[inline(always)]
     pub fn sample(&self, rng: &mut SimRng) -> (f64, bool) {
-        let delay = self.sample_delay(rng);
-        (delay, rng.uniform01() < self.p_first)
+        (self.sample_delay(rng), self.sample_winner(rng))
     }
 
     /// Draws only the winning delay. Because the minimum and its identity
     /// are independent, a caller that discards out-of-horizon faults can
     /// draw the delay first and spend the identity draw
     /// ([`FaultRace::sample_winner`]) only on faults it will schedule.
-    #[inline]
+    #[inline(always)]
     pub fn sample_delay(&self, rng: &mut SimRng) -> f64 {
         match self.draw {
-            DrawDiscipline::Scalar => rng.exponential(self.combined_mean),
+            DrawDiscipline::Scalar => {
+                let mean = self.combined_mean;
+                rng.detached(move |rng| rng.exponential(mean))
+            }
             DrawDiscipline::Ziggurat => ziggurat::standard(rng) * self.combined_mean,
         }
     }
 
     /// Draws the winner's identity (`true` = first clock), independent of
     /// any delay drawn via [`FaultRace::sample_delay`].
-    #[inline]
+    #[inline(always)]
     pub fn sample_winner(&self, rng: &mut SimRng) -> bool {
         rng.uniform01() < self.p_first
     }
@@ -464,7 +471,7 @@ impl BiasedFaultRace {
     /// Log-likelihood-ratio increment of a realised delay `x`:
     /// `-ln(tilt) + (tilt - 1)·x / nominal_mean`. Exactly `0.0` when
     /// `tilt = 1`.
-    #[inline]
+    #[inline(always)]
     pub fn llr_of(&self, delay: f64) -> f64 {
         self.llr_slope * delay - self.ln_tilt
     }
@@ -474,7 +481,7 @@ impl BiasedFaultRace {
     /// Summing the increments over every draw a trial makes and
     /// exponentiating yields the trial's importance weight under the
     /// nominal measure.
-    #[inline]
+    #[inline(always)]
     pub fn sample(&self, rng: &mut SimRng) -> (f64, bool, f64) {
         let (delay, first_won) = self.race.sample(rng);
         (delay, first_won, self.llr_of(delay))

@@ -45,6 +45,7 @@ impl SimRng {
     }
 
     /// Draws a uniform value in `[0, 1)`.
+    #[inline(always)]
     pub fn uniform01(&mut self) -> f64 {
         self.inner.gen::<f64>()
     }
@@ -91,6 +92,23 @@ impl SimRng {
         debug_assert!(mean > 0.0, "exponential mean must be positive");
         -mean * self.open01().ln()
     }
+
+    /// Runs `draw` out of line on a copy of this stream and takes the
+    /// copy's state back: the same draws in the same order, but a caller
+    /// that keeps the stream in registers never has to give it an address.
+    /// Hot loops route their rare or `ln`-priced draws through it (the
+    /// ziggurat's slow layers, inverse-CDF exponentials).
+    #[inline(always)]
+    pub fn detached<T>(&mut self, draw: impl FnOnce(&mut SimRng) -> T) -> T {
+        #[inline(never)]
+        fn run<T>(mut rng: SimRng, draw: impl FnOnce(&mut SimRng) -> T) -> (T, SimRng) {
+            let value = draw(&mut rng);
+            (value, rng)
+        }
+        let (value, stream) = run(self.clone(), draw);
+        *self = stream;
+        value
+    }
 }
 
 impl RngCore for SimRng {
@@ -98,6 +116,7 @@ impl RngCore for SimRng {
         self.inner.next_u32()
     }
 
+    #[inline(always)]
     fn next_u64(&mut self) -> u64 {
         self.inner.next_u64()
     }
@@ -194,6 +213,18 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "normal mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "normal variance {var}");
+    }
+
+    #[test]
+    fn detached_draws_continue_the_stream() {
+        let mut direct = SimRng::seed_from(11);
+        let mut detached = SimRng::seed_from(11);
+        for _ in 0..100 {
+            let x = detached.detached(|rng| rng.exponential(3.0));
+            assert_eq!(x.to_bits(), direct.exponential(3.0).to_bits());
+            assert_eq!(detached.next_u64(), direct.next_u64());
+        }
+        assert_eq!(detached.seed(), direct.seed());
     }
 
     #[test]
