@@ -11,7 +11,7 @@ use crate::event::FaultEvent;
 use ltds_core::fault::FaultClass;
 use ltds_core::threats::ThreatCategory;
 use ltds_core::units::Hours;
-use ltds_stochastic::{Distribution, Exponential, SimRng};
+use ltds_stochastic::{Exponential, SimRng};
 use serde::{Deserialize, Serialize};
 
 /// A component whose failure simultaneously affects every replica that

@@ -10,7 +10,7 @@ use crate::event::{sort_events, FaultEvent};
 use crate::profile::ThreatProfile;
 use ltds_core::fault::FaultClass;
 use ltds_core::threats::ThreatCategory;
-use ltds_stochastic::{Distribution, Exponential, SimRng};
+use ltds_stochastic::{Exponential, SimRng};
 
 /// Something that can produce the fault events affecting `replicas` replicas
 /// up to a time horizon.

@@ -208,9 +208,9 @@ enum Backend {
 
 /// The kernel's event queue, ordered by `(time, seq)`: an adaptive
 /// scheduler that starts on a binary heap and migrates to the calendar
-/// queue when occupancy crosses `CALENDAR_THRESHOLD` (4096). Both backends obey
-/// the exact same ordering contract, so the migration point never changes
-/// results — only wall-clock time.
+/// queue when occupancy crosses `CALENDAR_THRESHOLD` (64). Both backends
+/// obey the exact same ordering contract, so the migration point never
+/// changes results — only wall-clock time.
 #[derive(Debug)]
 pub struct EventQueue {
     backend: Backend,

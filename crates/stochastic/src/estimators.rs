@@ -234,114 +234,6 @@ impl ProportionEstimate {
     }
 }
 
-/// Likelihood-ratio-weighted outcome accumulator for importance-sampled
-/// and splitting estimators.
-///
-/// Observations are i.i.d. pairs `(wᵢ, yᵢ)` drawn under a proposal measure
-/// whose likelihood ratio against the nominal measure is `wᵢ` (so
-/// `E[w] = 1`). The estimator of `E_nominal[y]` is the *unnormalised* mean
-/// `Σ wᵢ·yᵢ / n`, which is exactly unbiased; its confidence interval comes
-/// from the sample variance of `zᵢ = wᵢ·yᵢ` through the existing
-/// [`StreamingStats`] / [`ConfidenceInterval`] machinery.
-///
-/// [`WeightedEstimator::effective_sample_size`] reports the usual weight
-/// degeneracy diagnostic `(Σw)² / Σw²`: it equals `n` when all weights are
-/// equal and collapses toward 1 when a few weights dominate — a tilt
-/// pushed too hard shows up here long before the CI lies.
-///
-/// # Examples
-///
-/// ```
-/// use ltds_stochastic::WeightedEstimator;
-///
-/// let mut w = WeightedEstimator::new();
-/// w.push(0.5, 1.0);
-/// w.push(1.5, 1.0);
-/// w.push(1.0, 0.0);
-/// assert_eq!(w.count(), 3);
-/// assert!((w.mean() - 2.0 / 3.0).abs() < 1e-12);
-/// assert!(w.effective_sample_size() > 2.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct WeightedEstimator {
-    /// Welford accumulator over `z = w·y`.
-    weighted: StreamingStats,
-    sum_w: f64,
-    sum_w2: f64,
-}
-
-impl WeightedEstimator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self { weighted: StreamingStats::new(), sum_w: 0.0, sum_w2: 0.0 }
-    }
-
-    /// Adds one observation with the given likelihood-ratio weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is negative, NaN or infinite — a likelihood
-    /// ratio is a non-negative finite real.
-    pub fn push(&mut self, weight: f64, value: f64) {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "likelihood-ratio weight must be finite and non-negative, got {weight}"
-        );
-        self.weighted.push(weight * value);
-        self.sum_w += weight;
-        self.sum_w2 += weight * weight;
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &WeightedEstimator) {
-        self.weighted.merge(&other.weighted);
-        self.sum_w += other.sum_w;
-        self.sum_w2 += other.sum_w2;
-    }
-
-    /// Number of observations pushed.
-    pub fn count(&self) -> u64 {
-        self.weighted.count()
-    }
-
-    /// Sum of the weights (≈ count when the proposal is well tuned).
-    pub fn sum_weights(&self) -> f64 {
-        self.sum_w
-    }
-
-    /// Unbiased estimate of `E_nominal[y]`: `Σ wᵢ·yᵢ / n`.
-    pub fn mean(&self) -> f64 {
-        self.weighted.mean()
-    }
-
-    /// Unbiased sample variance of the weighted observations `z = w·y`
-    /// (the per-observation variance of the estimator; divide by `n` for
-    /// the variance of the mean).
-    pub fn variance(&self) -> f64 {
-        self.weighted.variance()
-    }
-
-    /// Standard error of [`WeightedEstimator::mean`].
-    pub fn std_error(&self) -> f64 {
-        self.weighted.std_error()
-    }
-
-    /// Effective sample size `(Σw)² / Σw²`: the number of unweighted
-    /// observations carrying equivalent information (0 if empty).
-    pub fn effective_sample_size(&self) -> f64 {
-        if self.sum_w2 <= 0.0 {
-            0.0
-        } else {
-            self.sum_w * self.sum_w / self.sum_w2
-        }
-    }
-
-    /// Normal-approximation confidence interval for the weighted mean.
-    pub fn confidence_interval(&self, confidence: f64) -> ConfidenceInterval {
-        self.weighted.confidence_interval(confidence)
-    }
-}
-
 /// Two-sided standard-normal quantile for the usual confidence levels.
 ///
 /// Falls back to a rational approximation of the probit function for
@@ -562,90 +454,5 @@ mod tests {
         let rebuilt = ConfidenceInterval::around(s.mean(), s.std_error(), 0.95);
         assert!((direct.lower - rebuilt.lower).abs() < 1e-12);
         assert!((direct.upper - rebuilt.upper).abs() < 1e-12);
-    }
-
-    #[test]
-    fn unit_weights_reduce_to_streaming_stats() {
-        let data = [3.0, 7.0, 7.0, 19.0, 24.0, 1.0, 0.5];
-        let mut plain = StreamingStats::new();
-        let mut weighted = WeightedEstimator::new();
-        for &x in &data {
-            plain.push(x);
-            weighted.push(1.0, x);
-        }
-        assert_eq!(weighted.count(), plain.count());
-        assert!((weighted.mean() - plain.mean()).abs() < 1e-12);
-        assert!((weighted.variance() - plain.variance()).abs() < 1e-12);
-        // Equal weights carry full information.
-        assert!((weighted.effective_sample_size() - data.len() as f64).abs() < 1e-9);
-        let a = weighted.confidence_interval(0.95);
-        let b = plain.confidence_interval(0.95);
-        assert!((a.lower - b.lower).abs() < 1e-12 && (a.upper - b.upper).abs() < 1e-12);
-    }
-
-    #[test]
-    fn effective_sample_size_collapses_under_weight_degeneracy() {
-        let mut w = WeightedEstimator::new();
-        w.push(1000.0, 1.0);
-        for _ in 0..99 {
-            w.push(0.001, 1.0);
-        }
-        assert_eq!(w.count(), 100);
-        assert!(
-            w.effective_sample_size() < 1.01,
-            "one dominating weight should collapse ESS toward 1, got {}",
-            w.effective_sample_size()
-        );
-        assert!((w.sum_weights() - 1000.099).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_merge_equals_sequential() {
-        let pairs = [(0.5, 1.0), (2.0, 0.0), (1.25, 1.0), (0.8, 1.0), (3.0, 0.0)];
-        let mut all = WeightedEstimator::new();
-        let mut a = WeightedEstimator::new();
-        let mut b = WeightedEstimator::new();
-        for (i, &(w, y)) in pairs.iter().enumerate() {
-            all.push(w, y);
-            if i < 2 {
-                a.push(w, y);
-            } else {
-                b.push(w, y);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-12);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
-        assert!((a.effective_sample_size() - all.effective_sample_size()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_estimator_is_unbiased_under_a_known_tilt() {
-        // Estimate P[X > 3] for X ~ Exp(1) by sampling X ~ Exp(1/4)
-        // (rate 1/4, mean 4) and reweighting: w(x) = 4·e^{-x}·e^{x/4} ... /
-        // density ratio = (1·e^{-x}) / (0.25·e^{-x/4}) = 4·e^{-0.75x}.
-        // True value e^{-3} ≈ 0.0498.
-        use crate::rng::SimRng;
-        let mut rng = SimRng::seed_from(2024);
-        let mut est = WeightedEstimator::new();
-        let n = 50_000;
-        for _ in 0..n {
-            let x = rng.exponential(4.0);
-            let w = 4.0 * (-0.75 * x).exp();
-            est.push(w, f64::from(u8::from(x > 3.0)));
-        }
-        let truth = (-3.0f64).exp();
-        let ci = est.confidence_interval(0.99);
-        assert!(ci.contains(truth), "weighted CI [{}, {}] must cover {truth}", ci.lower, ci.upper);
-        assert!(est.effective_sample_size() > 1000.0);
-        assert!(est.effective_sample_size() < n as f64);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight")]
-    fn weighted_estimator_rejects_negative_weights() {
-        let mut w = WeightedEstimator::new();
-        w.push(-0.5, 1.0);
     }
 }

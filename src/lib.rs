@@ -6,7 +6,7 @@
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
 //! | [`core`] | `ltds-core` | The paper's analytic reliability model (Equations 1–12), threat taxonomy, strategies |
-//! | [`stochastic`] | `ltds-stochastic` | Distributions, RNG, estimators |
+//! | [`stochastic`] | `ltds-stochastic` | Seeded xoshiro256++ RNG, exponential fault races, binomial thinning, estimators |
 //! | [`devices`] | `ltds-devices` | Drive catalogue, bit-error/cost/media models |
 //! | [`faults`] | `ltds-faults` | Threat profiles, fault injectors, correlation structure |
 //! | [`scrub`] | `ltds-scrub` | Audit strategies, checksum and voting auditors |

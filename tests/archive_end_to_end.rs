@@ -16,8 +16,8 @@ fn well_run_archive_preserves_a_collection_for_a_decade() {
         step_hours: 730.0,
         // Loss under moderate fault pressure is a tail event (~1 decade in 8
         // loses an object); the seed pins a typical, loss-free decade. Seed
-        // values are tied to the RNG backend stream, so changing the
-        // generator (see vendor/rand) may require re-picking this.
+        // values are tied to `SimRng`'s stream, so changing the generator
+        // (see its `raw_stream_is_pinned` test) may require re-picking this.
         seed: 5,
         faults: ArchiveFaultInjector::moderate(),
         archive: ArchiveConfig::default_three_node(),

@@ -381,7 +381,7 @@ proptest! {
 /// so any future change to the scheduler, the RNG discipline, or the merge
 /// order is caught — not just thread-count variance.
 ///
-/// The digests are tied to the vendored RNG (xoshiro256++) and the
+/// The digests are tied to `SimRng`'s stream (xoshiro256++) and the
 /// config's `DrawDiscipline`; re-pin them (with a CHANGES.md note) if
 /// either deliberately changes.
 #[test]
