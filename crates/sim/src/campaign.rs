@@ -16,10 +16,20 @@
 //! unit order through a reorder buffer, as soon as the order-front
 //! completes, not at end of run.
 //!
+//! Every executor — this driver, the lease-based
+//! [`crate::service::CampaignService`] and its harness, and the TCP worker
+//! of [`crate::net`] — builds one crate-private unit plan from the spec. The
+//! plan fixes the unit order and decides, for each unit, the payload its
+//! cache holds, the raw result a worker ships, the canonical payload that
+//! result becomes and the record that streams it, so every executor streams
+//! the same bytes. It refuses a spec whose sweeps and scenarios repeat a
+//! name, since records are identified by `(task, unit)`.
+//!
 //! Three properties compose into cheap restarts:
 //!
-//! * every unit is a pure function of its key, so the driver consults (and
-//!   fills) content-addressed caches (fleet shards share theirs with
+//! * every unit is a pure function of its key, so the driver consults
+//!   content-addressed caches for every unit before any runs, and fills
+//!   them as results land (fleet shards share theirs with
 //!   `FleetSim::run_cached`);
 //! * those caches persist ([`SweepCache::write_through`]), so a killed
 //!   campaign leaves its completed units on disk;
@@ -37,7 +47,7 @@ use crate::sweep::{PointRequest, SweepPoint};
 use ltds_core::error::ModelError;
 use ltds_telemetry::TelemetryConfig;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -402,6 +412,13 @@ impl ReportSink for MemorySink {
 pub enum CampaignError {
     /// A sweep or scenario spec was invalid.
     Model(ModelError),
+    /// Two sweeps or scenarios of one spec share a name. Records are
+    /// identified by `(task, unit)`, so such a spec is refused before any
+    /// unit runs.
+    DuplicateTask {
+        /// The repeated sweep or scenario name.
+        name: String,
+    },
     /// An I/O operation failed: the report sink, a socket or a file.
     Io(std::io::Error),
     /// The campaign service made no progress for too long (every worker
@@ -417,6 +434,9 @@ impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CampaignError::Model(e) => write!(f, "invalid campaign spec: {e}"),
+            CampaignError::DuplicateTask { name } => {
+                write!(f, "invalid campaign spec: two sweeps or scenarios are named `{name}`")
+            }
             CampaignError::Io(e) => write!(f, "I/O error: {e}"),
             CampaignError::Stalled { ticks } => {
                 write!(f, "campaign service stalled after {ticks} ticks")
@@ -481,85 +501,6 @@ impl<S: Scenario> Clone for CampaignDriver<'_, S> {
 
 impl<S: Scenario> Copy for CampaignDriver<'_, S> {}
 
-/// One resolved work unit, ready to execute on any worker. Units index
-/// into their campaign (sweep/scenario position) instead of borrowing it,
-/// so the same flattened list drives the in-process pool, the campaign
-/// service's lease table, and remote workers — all of which must agree on
-/// unit order for the streamed report to be byte-identical.
-pub(crate) enum Unit {
-    /// One sweep grid point: `sweep`/`index` locate it in the spec.
-    Point { sweep: usize, index: usize, x: f64, config: SimConfig, key: CacheKey },
-    /// One scenario shard: `scenario` indexes the prepared-scenario list.
-    Shard { scenario: usize, shard: u32, key: CacheKey },
-}
-
-/// Validates and prepares every scenario of a campaign (errors surface
-/// before any simulation starts). Names are owned so a prepared list can
-/// live alongside its campaign inside one struct (the campaign service owns
-/// both; a borrowed name would tie the list to an external borrow).
-pub(crate) fn prepare_scenarios<S: Scenario>(
-    campaign: &Campaign<S>,
-) -> Result<Vec<(String, S::Prepared)>, ModelError> {
-    campaign.scenarios.iter().map(|s| Ok((s.name().to_string(), s.prepare()?))).collect()
-}
-
-/// Flattens a campaign into its deterministic unit order: sweeps (spec
-/// order, grid order), then scenarios (spec order, shard order). Every
-/// executor — driver pool, campaign service, remote worker — flattens the
-/// same spec to the same list, so a unit ordinal alone identifies the work.
-pub(crate) fn flatten_units<S: Scenario>(
-    campaign: &Campaign<S>,
-    prepared: &[(String, S::Prepared)],
-) -> Result<Vec<Unit>, CampaignError> {
-    let mut units: Vec<Unit> = Vec::new();
-    for (sweep, spec) in campaign.sweeps.iter().enumerate() {
-        if spec.trials == 0 {
-            return Err(ModelError::InvalidQuantity { parameter: "trials", value: 0.0 }.into());
-        }
-        for index in 0..spec.axis.len() {
-            let config = spec.axis.config_at(&spec.base, index)?;
-            let key = CacheKey {
-                digest: PointRequest::new(config, spec.trials).config_digest(),
-                seed: spec.seed.wrapping_add(index as u64),
-                shard: 0,
-            };
-            units.push(Unit::Point { sweep, index, x: spec.axis.x(index), config, key });
-        }
-    }
-    for (scenario, (_, prepared)) in prepared.iter().enumerate() {
-        for shard in 0..prepared.shards() {
-            units.push(Unit::Shard { scenario, shard, key: prepared.key(shard) });
-        }
-    }
-    Ok(units)
-}
-
-/// Wraps a unit's payload as its streamed record.
-pub(crate) fn record_for<S: Scenario>(
-    campaign: &Campaign<S>,
-    unit: &Unit,
-    payload: Value,
-) -> StreamRecord {
-    match unit {
-        Unit::Point { sweep, index, key, .. } => StreamRecord {
-            campaign: campaign.name.clone(),
-            task: campaign.sweeps[*sweep].name.clone(),
-            kind: RecordKind::SweepPoint,
-            unit: *index as u64,
-            key: *key,
-            payload,
-        },
-        Unit::Shard { scenario, shard, key } => StreamRecord {
-            campaign: campaign.name.clone(),
-            task: campaign.scenarios[*scenario].name().to_string(),
-            kind: RecordKind::FleetShard,
-            unit: u64::from(*shard),
-            key: *key,
-            payload,
-        },
-    }
-}
-
 impl<'a, S: Scenario> CampaignDriver<'a, S> {
     /// Creates a driver with one worker per available core and no caches.
     pub fn new(campaign: &'a Campaign<S>) -> Self {
@@ -622,44 +563,33 @@ impl<'a, S: Scenario> CampaignDriver<'a, S> {
     /// Runs the campaign, streaming records to `sink` in unit order as
     /// results land.
     ///
-    /// Point-cache lookups happen up front, on the calling thread. Every
-    /// point they miss runs as up to eight contiguous trial ranges that any
+    /// Cache lookups happen up front, on the calling thread. Every point
+    /// they miss runs as up to eight contiguous trial ranges that any
     /// worker may claim; the worker that finishes a point's last range
     /// folds the ranges in trial order, caches the estimate and reports the
-    /// unit. A scenario shard is one piece, looked up and run by its
-    /// worker. Ranges fold to the same bits however they are split or
-    /// scheduled, so the output never depends on the thread count.
+    /// unit. A missed scenario shard is one piece. Ranges fold to the same
+    /// bits however they are split or scheduled, so the output never
+    /// depends on the thread count.
     pub fn run(&self, sink: &mut dyn ReportSink) -> Result<CampaignSummary, CampaignError> {
-        // Prepare scenarios first: validation errors surface before any
-        // simulation starts.
-        let prepared = prepare_scenarios(self.campaign)?;
-        let units = flatten_units(self.campaign, &prepared)?;
-        let limit = self.max_units.map_or(units.len(), |k| k.min(units.len()));
+        let plan = UnitPlan::new(self.campaign)?;
+        let limit = self.max_units.map_or(plan.len(), |k| k.min(plan.len()));
 
-        // Cached points go straight to the reorder buffer; every other unit
+        // Cached units go straight to the reorder buffer; every other unit
         // becomes pieces, with one fold slot per trial range of a point.
         let mut reorder: BTreeMap<usize, UnitResult> = BTreeMap::new();
         let mut pieces: Vec<Piece> = Vec::new();
         let mut folds: Vec<Mutex<Vec<Option<TrialTally>>>> = Vec::with_capacity(limit);
-        for (ordinal, unit) in units[..limit].iter().enumerate() {
+        for ordinal in 0..limit {
             let mut slots = Vec::new();
-            match unit {
-                Unit::Point { sweep, x, key, .. } => {
-                    match self.point_cache.and_then(|cache| cache.get(key)) {
-                        Some(est) => {
-                            let payload = SweepPoint::from_estimate(*x, &est).to_value();
-                            reorder.insert(ordinal, (payload, true, None));
-                        }
-                        None => {
-                            let ranges = piece_ranges(self.campaign.sweeps[*sweep].trials);
-                            slots.resize_with(ranges.len(), || None);
-                            pieces.extend(ranges.into_iter().enumerate().map(|(slot, roots)| {
-                                Piece { ordinal, trials: Some((slot, roots)) }
-                            }));
-                        }
-                    }
+            if let Some(payload) = plan.cached(ordinal, self.point_cache, self.shard_cache) {
+                reorder.insert(ordinal, (payload, true, None));
+            } else if let Unit::Point { trials, .. } = plan.units[ordinal] {
+                for (slot, roots) in piece_ranges(trials).into_iter().enumerate() {
+                    pieces.push(Piece { ordinal, trials: Some((slot, roots)) });
+                    slots.push(None);
                 }
-                Unit::Shard { .. } => pieces.push(Piece { ordinal, trials: None }),
+            } else {
+                pieces.push(Piece { ordinal, trials: None });
             }
             folds.push(Mutex::new(slots));
         }
@@ -680,31 +610,18 @@ impl<'a, S: Scenario> CampaignDriver<'a, S> {
         std::thread::scope(|scope| -> Result<(), CampaignError> {
             for _ in 0..threads {
                 let result_tx = result_tx.clone();
-                let (cursor, pieces, folds, units) = (&cursor, &pieces, &folds, &units);
-                let prepared = &prepared;
-                let sweeps = &self.campaign.sweeps;
-                let point_cache = self.point_cache;
-                let shard_cache = self.shard_cache;
-                let telemetry = self.telemetry;
+                let (cursor, pieces, folds, plan) = (&cursor, &pieces, &folds, &plan);
+                let (points, shards, telemetry) =
+                    (self.point_cache, self.shard_cache, self.telemetry);
                 scope.spawn(move || {
                     while let Some(piece) = pieces.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                        let unit = &units[piece.ordinal];
+                        let ordinal = piece.ordinal;
                         let result = match &piece.trials {
-                            Some(range) => {
-                                let fold = &folds[piece.ordinal];
-                                run_point_piece(sweeps, unit, range, fold, point_cache)
-                            }
-                            None => Some(execute_unit::<S>(
-                                sweeps,
-                                prepared,
-                                unit,
-                                point_cache,
-                                shard_cache,
-                                telemetry,
-                            )),
+                            Some(range) => plan.run_point_piece(ordinal, range, folds, points),
+                            None => Some(plan.run_shard(ordinal, telemetry, shards)),
                         };
                         let Some(result) = result else { continue };
-                        if result_tx.send((piece.ordinal, result)).is_err() {
+                        if result_tx.send((ordinal, result)).is_err() {
                             break;
                         }
                     }
@@ -731,12 +648,12 @@ impl<'a, S: Scenario> CampaignDriver<'a, S> {
                 } else {
                     misses += 1;
                 }
-                deliver(&record_for(self.campaign, &units[next], payload))?;
+                deliver(&plan.record(next, payload))?;
                 // The trace rides directly behind its shard's result, under
                 // the same key. Scenarios without an instrumented kernel
                 // report `Null` — nothing worth streaming.
                 if let Some(trace) = trace.filter(|t| !matches!(t, Value::Null)) {
-                    let mut record = record_for(self.campaign, &units[next], trace);
+                    let mut record = plan.record(next, trace);
                     record.kind = RecordKind::ShardTrace;
                     deliver(&record)?;
                 }
@@ -747,7 +664,7 @@ impl<'a, S: Scenario> CampaignDriver<'a, S> {
         })?;
 
         Ok(CampaignSummary {
-            units_total: units.len(),
+            units_total: plan.len(),
             units_run: limit,
             cache_hits: hits,
             cache_misses: misses,
@@ -788,149 +705,237 @@ struct Piece {
 /// payload of a scenario shard simulated with telemetry on.
 type UnitResult = (Value, bool, Option<Value>);
 
-/// Runs trial range `roots` of sweep point `unit` into fold slot `slot`.
-/// The worker that fills the point's last slot folds the ranges in trial
-/// order, caches the estimate and returns the unit's result.
-fn run_point_piece(
-    sweeps: &[SweepSpec],
-    unit: &Unit,
-    (slot, roots): &(usize, Range<u64>),
-    fold: &Mutex<Vec<Option<TrialTally>>>,
-    cache: Option<&SweepCache<MttdlEstimate>>,
-) -> Option<UnitResult> {
-    let Unit::Point { sweep, x, config, key, .. } = unit else {
-        unreachable!("only sweep points split into trial ranges")
-    };
-    let mc = point_monte_carlo(config, sweeps[*sweep].trials, key);
-    let tally = mc.run_trials(roots.clone());
-    let tallies = {
-        let mut slots = fold.lock().expect("fold lock poisoned");
-        slots[*slot] = Some(tally);
-        if !slots.iter().all(Option::is_some) {
-            return None;
-        }
-        std::mem::take(&mut *slots)
-    };
-    let est = mc.estimate(tallies.into_iter().flatten());
-    if let Some(cache) = cache {
-        cache.insert(*key, est.clone());
-    }
-    Some((SweepPoint::from_estimate(*x, &est).to_value(), false, None))
-}
-
 /// The Monte-Carlo run behind a sweep point: its config at `trials` trials
 /// and the point's seed, on the calling thread.
 fn point_monte_carlo(config: &SimConfig, trials: u64, key: &CacheKey) -> MonteCarlo {
     MonteCarlo::new(*config).trials(trials).seed(key.seed).threads(1)
 }
 
-/// Executes one unit on whichever worker pulled it, consulting (and
-/// filling) its cache. Returns the record payload, whether the cache
-/// answered, and — for scenario shards simulated with telemetry on — the
-/// trace payload to stream behind the result.
-pub(crate) fn execute_unit<S: Scenario>(
-    sweeps: &[SweepSpec],
-    prepared: &[(String, S::Prepared)],
-    unit: &Unit,
-    point_cache: Option<&SweepCache<MttdlEstimate>>,
-    shard_cache: Option<&SweepCache<S::Outcome>>,
-    telemetry: Option<TelemetryConfig>,
-) -> UnitResult {
-    match unit {
-        Unit::Point { sweep, x, config, key, .. } => {
-            if let Some(cache) = point_cache {
-                if let Some(est) = cache.get(key) {
-                    return (SweepPoint::from_estimate(*x, &est).to_value(), true, None);
-                }
-            }
-            let est = point_monte_carlo(config, sweeps[*sweep].trials, key).run();
-            if let Some(cache) = point_cache {
-                cache.insert(*key, est.clone());
-            }
-            (SweepPoint::from_estimate(*x, &est).to_value(), false, None)
-        }
-        Unit::Shard { scenario, shard, key } => {
-            if let Some(cache) = shard_cache {
-                if let Some(outcome) = cache.get(key) {
-                    return (outcome.to_value(), true, None);
-                }
-            }
-            let prepared = &prepared[*scenario].1;
-            let (outcome, trace) = match telemetry {
-                Some(telemetry) => {
-                    let (outcome, trace) = prepared.run_shard_traced(*shard, telemetry);
-                    (outcome, Some(trace))
-                }
-                None => (prepared.run_shard(*shard), None),
-            };
-            if let Some(cache) = shard_cache {
-                cache.insert(*key, outcome.clone());
-            }
-            (outcome.to_value(), false, trace)
-        }
-    }
-}
-
-/// Computes one unit's *raw* result — the cache-value form: an
-/// [`MttdlEstimate`] for a sweep point, the scenario outcome for a shard —
-/// without consulting any cache. This is the worker side of the campaign
-/// service: workers ship raw values and the server derives the streamed
-/// payload (so the report bytes come from exactly one place).
-pub(crate) fn compute_unit_raw<S: Scenario>(
-    sweeps: &[SweepSpec],
-    prepared: &[(String, S::Prepared)],
-    unit: &Unit,
+/// Caches `est` as the result of the sweep point at `x` keyed `key` and
+/// returns the point's payload.
+fn point_payload(
+    x: f64,
+    key: &CacheKey,
+    est: MttdlEstimate,
+    cache: Option<&SweepCache<MttdlEstimate>>,
 ) -> Value {
-    match unit {
-        Unit::Point { sweep, config, key, .. } => {
-            point_monte_carlo(config, sweeps[*sweep].trials, key).run().to_value()
+    let payload = SweepPoint::from_estimate(x, &est).to_value();
+    if let Some(cache) = cache {
+        cache.insert(*key, est);
+    }
+    payload
+}
+
+/// A campaign validated, prepared and flattened into its deterministic
+/// unit order: sweeps (spec order, grid order), then scenarios (spec order,
+/// shard order). Every executor — the driver's pool, the campaign service,
+/// its harness and a remote worker — builds its plan from the same spec
+/// with [`UnitPlan::new`], so a unit ordinal alone identifies the work. The
+/// plan answers every per-unit question: the payload a cache already
+/// holds, the raw result a worker ships, the canonical payload a raw result
+/// becomes, and the record that streams it. It owns what it needs, so it
+/// outlives the spec it was built from.
+pub(crate) struct UnitPlan<S: Scenario> {
+    campaign: String,
+    sweeps: Vec<String>,
+    scenarios: Vec<(String, S::Prepared)>,
+    units: Vec<Unit>,
+}
+
+/// One resolved work unit.
+enum Unit {
+    /// Grid point `index` of sweep `sweep`, run at `trials` root trials.
+    Point { sweep: usize, index: usize, x: f64, config: SimConfig, trials: u64, key: CacheKey },
+    /// Shard `shard` of prepared scenario `scenario`.
+    Shard { scenario: usize, shard: u32, key: CacheKey },
+}
+
+impl<S: Scenario> UnitPlan<S> {
+    /// Validates, prepares and flattens `campaign`. Every error a spec can
+    /// cause surfaces here, before any unit runs.
+    pub(crate) fn new(campaign: &Campaign<S>) -> Result<Self, CampaignError> {
+        let sweeps: Vec<String> = campaign.sweeps.iter().map(|spec| spec.name.clone()).collect();
+        let mut names = BTreeSet::new();
+        let tasks = sweeps.iter().map(String::as_str).chain(campaign.scenarios.iter().map(S::name));
+        for name in tasks {
+            if !names.insert(name) {
+                return Err(CampaignError::DuplicateTask { name: name.to_string() });
+            }
         }
-        Unit::Shard { scenario, shard, .. } => prepared[*scenario].1.run_shard(*shard).to_value(),
+        let scenarios = campaign
+            .scenarios
+            .iter()
+            .map(|s| Ok((s.name().to_string(), s.prepare()?)))
+            .collect::<Result<Vec<_>, ModelError>>()?;
+        let mut units = Vec::new();
+        for (sweep, spec) in campaign.sweeps.iter().enumerate() {
+            if spec.trials == 0 {
+                return Err(ModelError::InvalidQuantity { parameter: "trials", value: 0.0 }.into());
+            }
+            for index in 0..spec.axis.len() {
+                let config = spec.axis.config_at(&spec.base, index)?;
+                let key = CacheKey {
+                    digest: PointRequest::new(config, spec.trials).config_digest(),
+                    seed: spec.seed.wrapping_add(index as u64),
+                    shard: 0,
+                };
+                let (x, trials) = (spec.axis.x(index), spec.trials);
+                units.push(Unit::Point { sweep, index, x, config, trials, key });
+            }
+        }
+        for (scenario, (_, prepared)) in scenarios.iter().enumerate() {
+            for shard in 0..prepared.shards() {
+                units.push(Unit::Shard { scenario, shard, key: prepared.key(shard) });
+            }
+        }
+        Ok(Self { campaign: campaign.name.clone(), sweeps, scenarios, units })
+    }
+
+    /// Number of units.
+    pub(crate) fn len(&self) -> usize {
+        self.units.len()
+    }
+
+    /// Unit `ordinal`'s payload, if its cache already holds the result.
+    pub(crate) fn cached(
+        &self,
+        ordinal: usize,
+        points: Option<&SweepCache<MttdlEstimate>>,
+        shards: Option<&SweepCache<S::Outcome>>,
+    ) -> Option<Value> {
+        match &self.units[ordinal] {
+            Unit::Point { x, key, .. } => {
+                points?.get(key).map(|est| SweepPoint::from_estimate(*x, &est).to_value())
+            }
+            Unit::Shard { key, .. } => shards?.get(key).map(|outcome| outcome.to_value()),
+        }
+    }
+
+    /// Runs unit `ordinal` on the calling thread without consulting any
+    /// cache: the raw result a worker ships (an [`MttdlEstimate`] for a
+    /// sweep point, the scenario outcome for a shard).
+    pub(crate) fn raw(&self, ordinal: usize) -> Value {
+        match &self.units[ordinal] {
+            Unit::Point { config, trials, key, .. } => {
+                point_monte_carlo(config, *trials, key).run().to_value()
+            }
+            Unit::Shard { scenario, shard, .. } => {
+                self.scenarios[*scenario].1.run_shard(*shard).to_value()
+            }
+        }
+    }
+
+    /// The canonical payload raw result `raw` becomes as unit `ordinal`'s
+    /// streamed result, filling the unit's cache on the way. `None` means
+    /// `raw` does not parse as the unit's result type.
+    pub(crate) fn payload(
+        &self,
+        ordinal: usize,
+        raw: &Value,
+        points: Option<&SweepCache<MttdlEstimate>>,
+        shards: Option<&SweepCache<S::Outcome>>,
+    ) -> Option<Value> {
+        Some(match &self.units[ordinal] {
+            Unit::Point { x, key, .. } => {
+                point_payload(*x, key, MttdlEstimate::from_value(raw).ok()?, points)
+            }
+            Unit::Shard { key, .. } => {
+                let outcome = S::Outcome::from_value(raw).ok()?;
+                if let Some(cache) = shards {
+                    cache.insert(*key, outcome.clone());
+                }
+                outcome.to_value()
+            }
+        })
+    }
+
+    /// The record that streams `payload` as unit `ordinal`'s result.
+    pub(crate) fn record(&self, ordinal: usize, payload: Value) -> StreamRecord {
+        let (task, kind, unit, key) = match &self.units[ordinal] {
+            Unit::Point { sweep, index, key, .. } => {
+                (&self.sweeps[*sweep], RecordKind::SweepPoint, *index as u64, *key)
+            }
+            Unit::Shard { scenario, shard, key } => {
+                (&self.scenarios[*scenario].0, RecordKind::FleetShard, u64::from(*shard), *key)
+            }
+        };
+        StreamRecord {
+            campaign: self.campaign.clone(),
+            task: task.clone(),
+            kind,
+            unit,
+            key,
+            payload,
+        }
+    }
+
+    /// Runs trial range `roots` of sweep point `ordinal` into its fold slot
+    /// `slot` in `folds`. The worker that fills the point's last slot folds
+    /// the ranges in trial order, caches the estimate and returns the
+    /// unit's result.
+    fn run_point_piece(
+        &self,
+        ordinal: usize,
+        (slot, roots): &(usize, Range<u64>),
+        folds: &[Mutex<Vec<Option<TrialTally>>>],
+        cache: Option<&SweepCache<MttdlEstimate>>,
+    ) -> Option<UnitResult> {
+        let Unit::Point { x, config, trials, key, .. } = &self.units[ordinal] else {
+            unreachable!("only sweep points split into trial ranges")
+        };
+        let mc = point_monte_carlo(config, *trials, key);
+        let tally = mc.run_trials(roots.clone());
+        let tallies = {
+            let mut slots = folds[ordinal].lock().expect("fold lock poisoned");
+            slots[*slot] = Some(tally);
+            if !slots.iter().all(Option::is_some) {
+                return None;
+            }
+            std::mem::take(&mut *slots)
+        };
+        let est = mc.estimate(tallies.into_iter().flatten());
+        Some((point_payload(*x, key, est, cache), false, None))
+    }
+
+    /// Simulates scenario shard `ordinal` — through the instrumented kernel
+    /// when `telemetry` is set — caches the outcome and returns the unit's
+    /// result with its trace.
+    fn run_shard(
+        &self,
+        ordinal: usize,
+        telemetry: Option<TelemetryConfig>,
+        cache: Option<&SweepCache<S::Outcome>>,
+    ) -> UnitResult {
+        let Unit::Shard { scenario, shard, key } = &self.units[ordinal] else {
+            unreachable!("only scenario shards run whole")
+        };
+        let prepared = &self.scenarios[*scenario].1;
+        let (outcome, trace) = match telemetry {
+            Some(telemetry) => {
+                let (outcome, trace) = prepared.run_shard_traced(*shard, telemetry);
+                (outcome, Some(trace))
+            }
+            None => (prepared.run_shard(*shard), None),
+        };
+        if let Some(cache) = cache {
+            cache.insert(*key, outcome.clone());
+        }
+        (outcome.to_value(), false, trace)
     }
 }
 
+/// Test fixtures shared by the campaign, service and transport tests.
 #[cfg(test)]
-mod tests {
+pub(crate) mod fixture {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::{Arc, Mutex};
-
-    fn base() -> SimConfig {
-        SimConfig::mirrored_disks(2000.0, 2000.0, 5.0, 5.0, Some(100.0), 1.0).unwrap()
-    }
-
-    fn sweep_campaign() -> SweepCampaign {
-        Campaign {
-            name: "unit-test".to_string(),
-            sweeps: vec![
-                SweepSpec {
-                    name: "scrub".to_string(),
-                    base: base(),
-                    axis: SweepAxis::ScrubPeriod {
-                        periods_hours: vec![30.0, 300.0, f64::INFINITY],
-                    },
-                    trials: 150,
-                    seed: 7,
-                },
-                SweepSpec {
-                    name: "replicas".to_string(),
-                    base: base(),
-                    axis: SweepAxis::Replication { replica_counts: vec![1, 2, 3], alpha: 1.0 },
-                    trials: 120,
-                    seed: 11,
-                },
-            ],
-            scenarios: Vec::new(),
-        }
-    }
 
     /// A deterministic toy scenario: outcome of shard `s` is a pure
     /// function of `(seed, s)`, expensive enough to exercise the pool.
     #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct ToyScenario {
-        name: String,
-        seed: u64,
-        shards: u32,
+    pub(crate) struct ToyScenario {
+        pub(crate) name: String,
+        pub(crate) seed: u64,
+        pub(crate) shards: u32,
     }
 
     impl Scenario for ToyScenario {
@@ -964,6 +969,51 @@ mod tests {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
             }
             acc
+        }
+    }
+
+    /// The single-threaded driver's stream of `campaign`: the reference
+    /// every other executor must reproduce byte for byte.
+    pub(crate) fn driver_reference(campaign: &Campaign<ToyScenario>) -> String {
+        let mut sink = MemorySink::new();
+        CampaignDriver::new(campaign).threads(1).run(&mut sink).unwrap();
+        sink.to_jsonl()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fixture::ToyScenario;
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Arc, Mutex};
+
+    fn base() -> SimConfig {
+        SimConfig::mirrored_disks(2000.0, 2000.0, 5.0, 5.0, Some(100.0), 1.0).unwrap()
+    }
+
+    fn sweep_campaign() -> SweepCampaign {
+        Campaign {
+            name: "unit-test".to_string(),
+            sweeps: vec![
+                SweepSpec {
+                    name: "scrub".to_string(),
+                    base: base(),
+                    axis: SweepAxis::ScrubPeriod {
+                        periods_hours: vec![30.0, 300.0, f64::INFINITY],
+                    },
+                    trials: 150,
+                    seed: 7,
+                },
+                SweepSpec {
+                    name: "replicas".to_string(),
+                    base: base(),
+                    axis: SweepAxis::Replication { replica_counts: vec![1, 2, 3], alpha: 1.0 },
+                    trials: 120,
+                    seed: 11,
+                },
+            ],
+            scenarios: Vec::new(),
         }
     }
 
@@ -1080,13 +1130,11 @@ mod tests {
         let mut reference = MemorySink::new();
         CampaignDriver::new(&split).threads(1).run(&mut reference).unwrap();
         // The split points carry the bits of their unsplit runs.
-        let units = flatten_units(&split, &[]).unwrap();
-        assert_eq!(reference.records().len(), units.len());
-        for (record, unit) in reference.records().iter().zip(&units) {
-            let Unit::Point { x, .. } = unit else { unreachable!() };
-            let raw = compute_unit_raw::<NoScenario>(&split.sweeps, &[], unit);
-            let est = MttdlEstimate::from_value(&raw).unwrap();
-            assert_eq!(record.payload, SweepPoint::from_estimate(*x, &est).to_value());
+        let plan = UnitPlan::new(&split).unwrap();
+        assert_eq!(reference.records().len(), plan.len());
+        for (ordinal, record) in reference.records().iter().enumerate() {
+            let payload = plan.payload(ordinal, &plan.raw(ordinal), None, None);
+            assert_eq!(payload.as_ref(), Some(&record.payload));
         }
         for threads in [2usize, 8] {
             let mut sink = MemorySink::new();
@@ -1342,5 +1390,11 @@ mod tests {
             let err = CampaignDriver::new(&campaign).run(&mut MemorySink::new());
             assert!(matches!(err, Err(CampaignError::Model(_))));
         }
+
+        // A task name shared by a sweep and a scenario.
+        let mut campaign = mixed_campaign();
+        campaign.scenarios[1].name = "scrub".to_string();
+        let err = CampaignDriver::new(&campaign).run(&mut MemorySink::new());
+        assert!(matches!(err, Err(CampaignError::DuplicateTask { name }) if name == "scrub"));
     }
 }

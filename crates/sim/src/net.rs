@@ -18,7 +18,10 @@
 //! liveness in *every* tenant (it may be busy on another tenant's unit),
 //! and its `Working`/`Done` frames route to the tenant that issued the
 //! lease. All tenants share whatever persistent [`SweepCache`]s the server
-//! was given, so identical units across tenants are computed once.
+//! was given, so identical units across tenants are computed once. Neither
+//! side keeps a tenant's spec: the server's service and each worker build
+//! one unit plan per tenant from it, and unit ordinals agree because plans
+//! are deterministic.
 //!
 //! Robustness surface:
 //!
@@ -48,10 +51,7 @@
 //!   [`ltds_core::failpoint`].
 
 use crate::cache::SweepCache;
-use crate::campaign::{
-    compute_unit_raw, flatten_units, prepare_scenarios, Campaign, CampaignError, ReportSink,
-    Scenario, StreamRecord, Unit,
-};
+use crate::campaign::{Campaign, CampaignError, ReportSink, Scenario, StreamRecord, UnitPlan};
 use crate::monte_carlo::MttdlEstimate;
 use crate::service::{CampaignService, ServerMsg, ServiceConfig, ServiceSummary, WorkerMsg};
 use ltds_core::hash::fnv1a;
@@ -501,7 +501,7 @@ where
                                 match Campaign::<S>::from_value(&spec)
                                     .map_err(|e| e.to_string())
                                     .and_then(|campaign| {
-                                        CampaignService::new(campaign, config.service)
+                                        CampaignService::new(&campaign, config.service)
                                             .map_err(|e| e.to_string())
                                     }) {
                                     Ok(mut service) => {
@@ -768,14 +768,6 @@ pub struct TcpWorkerConfig {
     pub reconnect: BackoffPolicy,
 }
 
-/// One tenant's executable state on the worker side, derived from the spec
-/// the server shipped.
-struct TenantWork<S: Scenario> {
-    campaign: Campaign<S>,
-    prepared: Vec<(String, S::Prepared)>,
-    units: Vec<Unit>,
-}
-
 /// Process exit code of a worker killed by the `worker.kill` fail point.
 pub const EXIT_KILLED: i32 = 81;
 
@@ -790,7 +782,8 @@ where
     let salt = fnv1a(config.name.as_bytes());
     let mut incarnation = config.incarnation;
     let mut completed = 0u64;
-    let mut tenants: BTreeMap<u64, TenantWork<S>> = BTreeMap::new();
+    // One plan per tenant, built from the spec the server shipped.
+    let mut tenants: BTreeMap<u64, UnitPlan<S>> = BTreeMap::new();
     let mut polls = 0u64;
 
     'session: loop {
@@ -837,13 +830,12 @@ where
                             continue;
                         }
                         let Ok(campaign) = Campaign::<S>::from_value(&spec) else { continue };
-                        let Ok(prepared) = prepare_scenarios(&campaign) else { continue };
-                        let Ok(units) = flatten_units(&campaign, &prepared) else { continue };
-                        tenants.insert(tenant, TenantWork { campaign, prepared, units });
+                        let Ok(plan) = UnitPlan::new(&campaign) else { continue };
+                        tenants.insert(tenant, plan);
                     }
                     NetServerMsg::Assign { tenant, unit, lease } => {
-                        let Some(work) = tenants.get(&tenant) else { continue };
-                        if unit as usize >= work.units.len() {
+                        let Some(plan) = tenants.get(&tenant) else { continue };
+                        if unit as usize >= plan.len() {
                             continue;
                         }
                         // Announce the unit before any crash can land, so
@@ -874,11 +866,7 @@ where
                             incarnation += 1;
                             continue 'session;
                         }
-                        let raw = compute_unit_raw::<S>(
-                            &work.campaign.sweeps,
-                            &work.prepared,
-                            &work.units[unit as usize],
-                        );
+                        let raw = plan.raw(unit as usize);
                         let done = NetWorkerMsg::Done { tenant, unit, lease, result: raw };
                         let line = serde_json::to_string(&done).expect("message serializes");
                         if ltds_core::failpoint::fire("net.frame.truncate", unit) {
@@ -999,51 +987,9 @@ pub fn submit_tcp(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheKey;
-    use crate::campaign::{CampaignDriver, MemorySink, PreparedScenario, SweepAxis, SweepSpec};
+    use crate::campaign::fixture::{driver_reference, ToyScenario};
+    use crate::campaign::{SweepAxis, SweepSpec};
     use crate::config::SimConfig;
-    use ltds_core::error::ModelError;
-
-    /// The same deterministic toy scenario the service tests use.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct ToyScenario {
-        name: String,
-        seed: u64,
-        shards: u32,
-    }
-
-    impl Scenario for ToyScenario {
-        type Outcome = u64;
-        type Prepared = ToyScenario;
-
-        fn name(&self) -> &str {
-            &self.name
-        }
-
-        fn prepare(&self) -> Result<Self, ModelError> {
-            Ok(self.clone())
-        }
-    }
-
-    impl PreparedScenario for ToyScenario {
-        type Outcome = u64;
-
-        fn shards(&self) -> u32 {
-            self.shards
-        }
-
-        fn key(&self, shard: u32) -> CacheKey {
-            CacheKey { digest: crate::cache::fnv1a(self.name.as_bytes()), seed: self.seed, shard }
-        }
-
-        fn run_shard(&self, shard: u32) -> u64 {
-            let mut acc = self.seed ^ u64::from(shard);
-            for i in 0..2_000u64 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-            }
-            acc
-        }
-    }
 
     fn campaign(seed: u64) -> Campaign<ToyScenario> {
         let base = SimConfig::mirrored_disks(2000.0, 2000.0, 5.0, 5.0, Some(100.0), 1.0).unwrap();
@@ -1058,12 +1004,6 @@ mod tests {
             }],
             scenarios: vec![ToyScenario { name: "toy".to_string(), seed, shards: 3 }],
         }
-    }
-
-    fn reference(campaign: &Campaign<ToyScenario>) -> String {
-        let mut sink = MemorySink::new();
-        CampaignDriver::new(campaign).threads(1).run(&mut sink).unwrap();
-        sink.to_jsonl()
     }
 
     fn server_config(workers: usize) -> TcpServerConfig {
@@ -1127,7 +1067,7 @@ mod tests {
     #[test]
     fn tcp_streams_match_driver_for_any_fleet_size() {
         let campaign = campaign(41);
-        let reference = reference(&campaign);
+        let reference = driver_reference(&campaign);
         let spec: Value =
             serde_json::value_from_str(&serde_json::to_string(&campaign).unwrap()).unwrap();
         for workers in [1usize, 2, 8] {
@@ -1168,7 +1108,7 @@ mod tests {
     #[test]
     fn tcp_fallback_completes_without_workers() {
         let campaign = campaign(43);
-        let reference = reference(&campaign);
+        let reference = driver_reference(&campaign);
         let spec: Value =
             serde_json::value_from_str(&serde_json::to_string(&campaign).unwrap()).unwrap();
         let addr_path = std::env::temp_dir().join(format!("ltds-net-fb-{}", std::process::id()));
@@ -1191,12 +1131,12 @@ mod tests {
         // The same spec submitted by two subscribers is one tenant; a
         // second, different spec over the same units hits the shared cache.
         let campaign_a = campaign(47);
-        let reference_a = reference(&campaign_a);
+        let reference_a = driver_reference(&campaign_a);
         let spec_a: Value =
             serde_json::value_from_str(&serde_json::to_string(&campaign_a).unwrap()).unwrap();
         let mut campaign_b = campaign_a.clone();
         campaign_b.name = "net-test-47-twin".to_string();
-        let reference_b = reference(&campaign_b);
+        let reference_b = driver_reference(&campaign_b);
         let spec_b: Value =
             serde_json::value_from_str(&serde_json::to_string(&campaign_b).unwrap()).unwrap();
 
@@ -1242,7 +1182,7 @@ mod tests {
         // Simulate a subscriber that already holds the first K lines: the
         // stream it receives must be exactly the remainder.
         let campaign = campaign(53);
-        let reference = reference(&campaign);
+        let reference = driver_reference(&campaign);
         let lines: Vec<&str> = reference.lines().collect();
         let k = lines.len() / 2;
         let spec: Value =
@@ -1299,11 +1239,18 @@ mod tests {
             };
             let server = scope.spawn(move || serve_tcp::<ToyScenario>(&config, None, None));
             let addr = wait_addr(&addr_path);
-            let bad: Value = serde_json::value_from_str(r#"{"not":"a campaign"}"#).unwrap();
-            let mut out: Vec<u8> = Vec::new();
-            let err = submit_tcp(&submit_config(&addr), &bad, &mut out);
-            assert!(matches!(err, Err(CampaignError::Io(_))), "got {err:?}");
-            assert!(out.is_empty());
+            // Not a campaign, and a campaign whose two scenarios share a name.
+            let mut twins = campaign(61);
+            twins.scenarios.push(twins.scenarios[0].clone());
+            for bad in [
+                serde_json::value_from_str(r#"{"not":"a campaign"}"#).unwrap(),
+                serde_json::value_from_str(&serde_json::to_string(&twins).unwrap()).unwrap(),
+            ] {
+                let mut out: Vec<u8> = Vec::new();
+                let err = submit_tcp(&submit_config(&addr), &bad, &mut out);
+                assert!(matches!(err, Err(CampaignError::Io(_))), "got {err:?}");
+                assert!(out.is_empty());
+            }
 
             // A good spec afterwards still completes on the same server.
             let campaign = campaign(59);
@@ -1311,7 +1258,7 @@ mod tests {
                 serde_json::value_from_str(&serde_json::to_string(&campaign).unwrap()).unwrap();
             let mut out: Vec<u8> = Vec::new();
             submit_tcp(&submit_config(&addr), &spec, &mut out).unwrap();
-            assert_eq!(String::from_utf8(out).unwrap(), reference(&campaign));
+            assert_eq!(String::from_utf8(out).unwrap(), driver_reference(&campaign));
             server.join().unwrap().unwrap();
         });
         let _ = std::fs::remove_file(&addr_path);

@@ -5,7 +5,8 @@
 //! thread pool: workers cannot vanish, messages cannot be lost, and the
 //! reorder buffer alone guarantees a deterministic report. This module keeps
 //! that report contract while dropping every one of those assumptions. A
-//! [`CampaignService`] owns the flattened unit list and a worker registry;
+//! [`CampaignService`] holds the unit plan it builds from a borrowed spec
+//! (the same one the driver builds) and a worker registry;
 //! workers — separate processes, or simulated peers inside a test — send
 //! [`WorkerMsg`]s and receive [`ServerMsg::Assign`] leases. The service is a
 //! *pure state machine driven by an explicit sim clock* ([`CampaignService::tick`]):
@@ -34,7 +35,9 @@
 //!   [`ServiceSummary`].
 //! * **No workers at all** — after [`ServiceConfig::fallback_ticks`] with
 //!   no live worker the service degrades to in-process execution, so a
-//!   campaign never hangs on an empty fleet.
+//!   campaign never hangs on an empty fleet. The fallback commits what the
+//!   caches hold and runs each miss exactly as a worker does: the raw
+//!   result, then its canonical payload.
 //!
 //! Two drivers feed the state machine: [`crate::net::serve_tcp`] carries
 //! worker messages over sockets as checksum-framed JSON lines and ticks the
@@ -43,12 +46,8 @@
 //! compiled).
 
 use crate::cache::SweepCache;
-use crate::campaign::{
-    compute_unit_raw, execute_unit, flatten_units, prepare_scenarios, record_for, Campaign,
-    CampaignError, ReportSink, Scenario, Unit,
-};
+use crate::campaign::{Campaign, CampaignError, ReportSink, Scenario, UnitPlan};
 use crate::monte_carlo::MttdlEstimate;
-use crate::sweep::SweepPoint;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -233,9 +232,7 @@ impl ServiceSummary {
 /// model; see [`ServiceHarness`] and [`crate::net::serve_tcp`] for the two
 /// drivers that feed it.
 pub struct CampaignService<'a, S: Scenario> {
-    campaign: Campaign<S>,
-    prepared: Vec<(String, S::Prepared)>,
-    units: Vec<Unit>,
+    plan: UnitPlan<S>,
     config: ServiceConfig,
     point_cache: Option<&'a SweepCache<MttdlEstimate>>,
     shard_cache: Option<&'a SweepCache<S::Outcome>>,
@@ -251,21 +248,18 @@ pub struct CampaignService<'a, S: Scenario> {
 }
 
 impl<'a, S: Scenario> CampaignService<'a, S> {
-    /// Validates the campaign and builds the service over its flattened
-    /// unit list (the same deterministic order every executor derives).
+    /// Validates the campaign and builds the service over its unit plan
+    /// (the same deterministic unit order every executor derives).
     ///
-    /// The service *owns* its campaign: a long-running multi-tenant server
-    /// constructs services from specs that arrive over the wire, long after
-    /// any caller-side borrow could be arranged.
-    pub fn new(campaign: Campaign<S>, config: ServiceConfig) -> Result<Self, CampaignError> {
-        let prepared = prepare_scenarios(&campaign)?;
-        let units = flatten_units(&campaign, &prepared)?;
-        let states = vec![UnitState::Pending { attempts: 0, eligible_at: 0 }; units.len()];
-        let summary = ServiceSummary::new(units.len() as u64);
+    /// The service keeps no borrow of `campaign`: a long-running
+    /// multi-tenant server builds services from specs that arrive over the
+    /// wire and drops each spec once its service exists.
+    pub fn new(campaign: &Campaign<S>, config: ServiceConfig) -> Result<Self, CampaignError> {
+        let plan = UnitPlan::new(campaign)?;
+        let states = vec![UnitState::Pending { attempts: 0, eligible_at: 0 }; plan.len()];
+        let summary = ServiceSummary::new(plan.len() as u64);
         Ok(Self {
-            campaign,
-            prepared,
-            units,
+            plan,
             config,
             point_cache: None,
             shard_cache: None,
@@ -299,17 +293,8 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
     pub fn start(&mut self, sink: &mut dyn ReportSink) -> Result<(), CampaignError> {
         assert!(!self.started, "start() must be called exactly once");
         self.started = true;
-        for ordinal in 0..self.units.len() {
-            let payload = match &self.units[ordinal] {
-                Unit::Point { x, key, .. } => self
-                    .point_cache
-                    .and_then(|cache| cache.get(key))
-                    .map(|est| SweepPoint::from_estimate(*x, &est).to_value()),
-                Unit::Shard { key, .. } => {
-                    self.shard_cache.and_then(|cache| cache.get(key)).map(|o| o.to_value())
-                }
-            };
-            if let Some(payload) = payload {
+        for ordinal in 0..self.plan.len() {
+            if let Some(payload) = self.plan.cached(ordinal, self.point_cache, self.shard_cache) {
                 self.commit(ordinal, payload, true);
             }
         }
@@ -319,7 +304,7 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
     /// Whether every unit is committed or quarantined and the stream is
     /// fully released.
     pub fn is_done(&self) -> bool {
-        self.next == self.units.len()
+        self.next == self.plan.len()
     }
 
     /// Counts transport frames rejected by checksum or framing checks.
@@ -360,7 +345,7 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
                 // A stale incarnation's result still commits: units are pure.
                 self.seen(worker, *incarnation);
                 let ordinal = *unit as usize;
-                if ordinal >= self.units.len() {
+                if ordinal >= self.plan.len() {
                     self.summary.bad_payloads += 1;
                     return Ok(());
                 }
@@ -378,7 +363,7 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
                         worker.working = None;
                     }
                 }
-                match self.payload_from_raw(ordinal, result) {
+                match self.plan.payload(ordinal, result, self.point_cache, self.shard_cache) {
                     Some(payload) => {
                         self.commit(ordinal, payload, false);
                     }
@@ -502,7 +487,7 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
 
     /// First pending, eligible unit at or after the stream front.
     fn next_assignable(&self) -> Option<usize> {
-        (self.next..self.units.len()).find(|&ordinal| {
+        (self.next..self.plan.len()).find(|&ordinal| {
             matches!(self.states[ordinal], UnitState::Pending { eligible_at, .. }
                 if eligible_at <= self.clock)
         })
@@ -535,42 +520,23 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
         }
     }
 
-    /// Canonicalises a raw wire value into the unit's streamed payload,
-    /// filling the caches on the way. `None` means the value did not parse
-    /// as the unit's result type.
-    fn payload_from_raw(&self, ordinal: usize, raw: &Value) -> Option<Value> {
-        match &self.units[ordinal] {
-            Unit::Point { x, key, .. } => {
-                let est = MttdlEstimate::from_value(raw).ok()?;
-                if let Some(cache) = self.point_cache {
-                    cache.insert(*key, est.clone());
-                }
-                Some(SweepPoint::from_estimate(*x, &est).to_value())
-            }
-            Unit::Shard { key, .. } => {
-                let outcome = S::Outcome::from_value(raw).ok()?;
-                if let Some(cache) = self.shard_cache {
-                    cache.insert(*key, outcome.clone());
-                }
-                Some(outcome.to_value())
-            }
-        }
-    }
-
-    /// Executes every pending unit in-process (the no-fleet fallback).
+    /// Executes every pending unit in-process (the no-fleet fallback): a
+    /// cache hit commits as it would at start, and a miss runs exactly as a
+    /// worker runs it, raw result first, then its canonical payload.
     fn run_fallback(&mut self) {
-        for ordinal in 0..self.units.len() {
+        let (points, shards) = (self.point_cache, self.shard_cache);
+        for ordinal in 0..self.plan.len() {
             if !matches!(self.states[ordinal], UnitState::Pending { .. }) {
                 continue;
             }
-            let (payload, hit, _trace) = execute_unit::<S>(
-                &self.campaign.sweeps,
-                &self.prepared,
-                &self.units[ordinal],
-                self.point_cache,
-                self.shard_cache,
-                None,
-            );
+            let (payload, hit) = match self.plan.cached(ordinal, points, shards) {
+                Some(payload) => (payload, true),
+                None => {
+                    let raw = self.plan.raw(ordinal);
+                    let payload = self.plan.payload(ordinal, &raw, points, shards);
+                    (payload.expect("a unit's own raw result parses"), false)
+                }
+            };
             self.summary.degraded_units += 1;
             self.commit(ordinal, payload, hit);
         }
@@ -591,13 +557,12 @@ impl<'a, S: Scenario> CampaignService<'a, S> {
     /// Releases in-order records to the sink, skipping quarantined units
     /// (one poison unit must not wedge the stream).
     fn release(&mut self, sink: &mut dyn ReportSink) -> Result<(), CampaignError> {
-        while self.next < self.units.len() {
+        while self.next < self.plan.len() {
             match self.states[self.next] {
                 UnitState::Quarantined => self.next += 1,
                 UnitState::Done => {
                     let Some(payload) = self.reorder.remove(&self.next) else { break };
-                    let record = record_for(&self.campaign, &self.units[self.next], payload);
-                    sink.record(&record)?;
+                    sink.record(&self.plan.record(self.next, payload))?;
                     self.next += 1;
                 }
                 UnitState::Pending { .. } | UnitState::Leased { .. } => break,
@@ -707,11 +672,8 @@ impl<'a, S: Scenario> ServiceHarness<'a, S> {
 
     /// Runs the campaign through the simulated fleet, streaming the report
     /// to `sink`. Returns [`CampaignError::Stalled`] past the tick budget.
-    pub fn run(&self, sink: &mut dyn ReportSink) -> Result<ServiceSummary, CampaignError>
-    where
-        S: Clone,
-    {
-        let mut service = CampaignService::new(self.campaign.clone(), self.config)?;
+    pub fn run(&self, sink: &mut dyn ReportSink) -> Result<ServiceSummary, CampaignError> {
+        let mut service = CampaignService::new(self.campaign, self.config)?;
         if let Some(cache) = self.point_cache {
             service = service.point_cache(cache);
         }
@@ -719,10 +681,9 @@ impl<'a, S: Scenario> ServiceHarness<'a, S> {
             service = service.shard_cache(cache);
         }
 
-        // The workers' own view of the campaign: the flattening is
-        // deterministic, so ordinals agree with the service by construction.
-        let prepared = prepare_scenarios(self.campaign)?;
-        let units = flatten_units(self.campaign, &prepared)?;
+        // The workers' own plan: plans are deterministic, so ordinals agree
+        // with the service's by construction.
+        let plan = UnitPlan::new(self.campaign)?;
 
         let mut fleet: Vec<SimWorker> = (0..self.workers)
             .map(|i| SimWorker {
@@ -800,17 +761,12 @@ impl<'a, S: Scenario> ServiceHarness<'a, S> {
                         worker.outbox.clear();
                         break;
                     }
-                    let raw = compute_unit_raw::<S>(
-                        &self.campaign.sweeps,
-                        &prepared,
-                        &units[unit as usize],
-                    );
                     let done = WorkerMsg::Done {
                         worker: worker.name.clone(),
                         incarnation: worker.incarnation,
                         unit,
                         lease,
-                        result: raw,
+                        result: plan.raw(unit as usize),
                     };
                     if chaos.drop_done_for.contains(&unit) && !worker.dropped.contains(&unit) {
                         worker.dropped.push(unit);
@@ -833,55 +789,12 @@ impl<'a, S: Scenario> ServiceHarness<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheKey;
-    use crate::campaign::{CampaignDriver, MemorySink, PreparedScenario, SweepAxis, SweepSpec};
+    use crate::campaign::fixture::{driver_reference, ToyScenario};
+    use crate::campaign::{CampaignDriver, MemorySink, SweepAxis, SweepSpec};
     use crate::config::SimConfig;
-    use ltds_core::error::ModelError;
 
     fn base() -> SimConfig {
         SimConfig::mirrored_disks(2000.0, 2000.0, 5.0, 5.0, Some(100.0), 1.0).unwrap()
-    }
-
-    /// A deterministic toy scenario (outcome = f(seed, shard)) so harness
-    /// tests exercise both unit kinds without fleet-sized runtimes.
-    #[derive(Debug, Clone, Serialize, Deserialize)]
-    struct ToyScenario {
-        name: String,
-        seed: u64,
-        shards: u32,
-    }
-
-    impl Scenario for ToyScenario {
-        type Outcome = u64;
-        type Prepared = ToyScenario;
-
-        fn name(&self) -> &str {
-            &self.name
-        }
-
-        fn prepare(&self) -> Result<Self, ModelError> {
-            Ok(self.clone())
-        }
-    }
-
-    impl PreparedScenario for ToyScenario {
-        type Outcome = u64;
-
-        fn shards(&self) -> u32 {
-            self.shards
-        }
-
-        fn key(&self, shard: u32) -> CacheKey {
-            CacheKey { digest: crate::cache::fnv1a(self.name.as_bytes()), seed: self.seed, shard }
-        }
-
-        fn run_shard(&self, shard: u32) -> u64 {
-            let mut acc = self.seed ^ u64::from(shard);
-            for i in 0..2_000u64 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-            }
-            acc
-        }
     }
 
     fn campaign() -> Campaign<ToyScenario> {
@@ -899,12 +812,6 @@ mod tests {
                 ToyScenario { name: "toy-b".to_string(), seed: 4, shards: 2 },
             ],
         }
-    }
-
-    fn driver_reference(campaign: &Campaign<ToyScenario>) -> String {
-        let mut sink = MemorySink::new();
-        CampaignDriver::new(campaign).threads(1).run(&mut sink).unwrap();
-        sink.to_jsonl()
     }
 
     #[test]
@@ -1120,8 +1027,7 @@ mod tests {
         name: &str,
         incarnation: u64,
     ) {
-        let prepared = prepare_scenarios(campaign).unwrap();
-        let units = flatten_units(campaign, &prepared).unwrap();
+        let plan = UnitPlan::new(campaign).unwrap();
         for _ in 0..10_000 {
             if service.is_done() {
                 return;
@@ -1134,11 +1040,7 @@ mod tests {
                 service
                     .handle(&WorkerMsg::Working { worker: worker.clone(), incarnation, unit }, sink)
                     .unwrap();
-                let result = compute_unit_raw::<ToyScenario>(
-                    &campaign.sweeps,
-                    &prepared,
-                    &units[unit as usize],
-                );
+                let result = plan.raw(unit as usize);
                 service
                     .handle(&WorkerMsg::Done { worker, incarnation, unit, lease, result }, sink)
                     .unwrap();
@@ -1164,7 +1066,7 @@ mod tests {
             backoff_base_ticks: 0,
             fallback_ticks: None,
         };
-        let mut service = CampaignService::new(campaign.clone(), config).unwrap();
+        let mut service = CampaignService::new(&campaign, config).unwrap();
         let mut sink = MemorySink::new();
         service.start(&mut sink).unwrap();
 
@@ -1207,10 +1109,7 @@ mod tests {
 
         // A late `Done` for the quarantined unit from the first (long-dead)
         // incarnation must be dropped as a duplicate, not committed.
-        let prepared = prepare_scenarios(&campaign).unwrap();
-        let units = flatten_units(&campaign, &prepared).unwrap();
-        let stale =
-            compute_unit_raw::<ToyScenario>(&campaign.sweeps, &prepared, &units[unit_a as usize]);
+        let stale = UnitPlan::new(&campaign).unwrap().raw(unit_a as usize);
         service
             .handle(
                 &WorkerMsg::Done {
@@ -1260,7 +1159,7 @@ mod tests {
             backoff_base_ticks: 0,
             fallback_ticks: None,
         };
-        let mut service = CampaignService::new(campaign.clone(), config).unwrap();
+        let mut service = CampaignService::new(&campaign, config).unwrap();
         let mut sink = MemorySink::new();
         service.start(&mut sink).unwrap();
 
@@ -1284,10 +1183,7 @@ mod tests {
 
         // The stale result of the forfeited lease lands while A is pending
         // again: it commits (first writer wins).
-        let prepared = prepare_scenarios(&campaign).unwrap();
-        let units = flatten_units(&campaign, &prepared).unwrap();
-        let result =
-            compute_unit_raw::<ToyScenario>(&campaign.sweeps, &prepared, &units[unit_a as usize]);
+        let result = UnitPlan::new(&campaign).unwrap().raw(unit_a as usize);
         service
             .handle(
                 &WorkerMsg::Done {
@@ -1374,12 +1270,8 @@ mod tests {
                 sweeps: Vec::new(),
                 scenarios: vec![ToyScenario { name: "toy".to_string(), seed: 5, shards: 3 }],
             };
-            let prepared = prepare_scenarios(&campaign).unwrap();
-            let units = flatten_units(&campaign, &prepared).unwrap();
-            let results = units
-                .iter()
-                .map(|unit| compute_unit_raw::<ToyScenario>(&campaign.sweeps, &prepared, unit))
-                .collect();
+            let plan = UnitPlan::new(&campaign).unwrap();
+            let results = (0..plan.len()).map(|unit| plan.raw(unit)).collect();
             let lines = driver_reference(&campaign).lines().map(|l| format!("{l}\n")).collect();
             Self { campaign, results, lines }
         }
@@ -1400,7 +1292,7 @@ mod tests {
     }
 
     fn replay(model: &Model, path: &[Step]) -> Replay {
-        let mut service = CampaignService::new(model.campaign.clone(), MC_CONFIG).unwrap();
+        let mut service = CampaignService::new(&model.campaign, MC_CONFIG).unwrap();
         let mut sink = MemorySink::new();
         service.start(&mut sink).unwrap();
         let mut r = Replay { service, sink, blamed: vec![0; model.results.len()] };

@@ -147,13 +147,6 @@ pub trait Probe {
     /// Advances sim time (called once per popped kernel event with the
     /// current event-queue occupancy); due metric samples are emitted here.
     fn tick(&mut self, t: f64, queue_len: usize);
-
-    /// Reports the likelihood-ratio weight of a finished trial under a
-    /// rare-event strategy. Default no-op; vanilla runs (weight 1.0) need
-    /// not call it at all. Feeds in-memory gauges only — weights are never
-    /// serialized into traces, so trace bytes stay stable.
-    #[inline(always)]
-    fn weight(&mut self, _weight: f64) {}
 }
 
 /// The disabled probe: every method is an inlined no-op and
@@ -358,11 +351,6 @@ pub struct ShardTelemetry {
     summary: ShardSummary,
     wait_sum: f64,
     wait_count: u64,
-    /// Likelihood-ratio weight moments (rare-event runs only; in-memory
-    /// gauge, never serialized into the trace).
-    weight_sum: f64,
-    weight_sq_sum: f64,
-    weight_count: u64,
     // Output.
     samples: Vec<MetricSample>,
     losses: Vec<LossTrace>,
@@ -391,9 +379,6 @@ impl ShardTelemetry {
             summary: ShardSummary { shard: params.shard, ..ShardSummary::default() },
             wait_sum: 0.0,
             wait_count: 0,
-            weight_sum: 0.0,
-            weight_sq_sum: 0.0,
-            weight_count: 0,
             samples: Vec::new(),
             losses: Vec::new(),
             rings: vec![Ring::default(); params.groups],
@@ -420,24 +405,6 @@ impl ShardTelemetry {
         });
         self.site_window.fill(0.0);
         self.summary.samples += 1;
-    }
-
-    /// Effective sample size of the likelihood-ratio weights reported via
-    /// [`Probe::weight`]: `(Σw)² / Σw²`, the classic importance-sampling
-    /// degeneracy gauge. 0.0 until any weight arrives; equals the trial
-    /// count when every weight is 1.0 (vanilla). In-memory only — the
-    /// serialized trace carries no weights, so trace bytes are unchanged.
-    pub fn weight_ess(&self) -> f64 {
-        if self.weight_sq_sum > 0.0 {
-            self.weight_sum * self.weight_sum / self.weight_sq_sum
-        } else {
-            0.0
-        }
-    }
-
-    /// Number of trial weights reported so far.
-    pub fn weight_count(&self) -> u64 {
-        self.weight_count
     }
 
     /// Finalizes the sink: pads the metric series out to the horizon (so
@@ -575,12 +542,6 @@ impl Probe for ShardTelemetry {
             self.emit_sample(at);
             self.next_sample += self.config.sample_period_hours;
         }
-    }
-
-    fn weight(&mut self, weight: f64) {
-        self.weight_sum += weight;
-        self.weight_sq_sum += weight * weight;
-        self.weight_count += 1;
     }
 }
 
@@ -920,25 +881,6 @@ mod tests {
         probe.record(1.0, 0, visible_fault(1));
         probe.loss(1.0, 0, 1.0, FaultClass::Visible);
         probe.tick(1.0, 3);
-        probe.weight(2.0);
-    }
-
-    #[test]
-    fn weight_gauge_tracks_ess_without_touching_the_trace() {
-        let mut sink = ShardTelemetry::new(params(), TelemetryConfig::default());
-        assert_eq!(sink.weight_ess(), 0.0);
-        for _ in 0..4 {
-            sink.weight(1.0);
-        }
-        assert_eq!(sink.weight_count(), 4);
-        assert!((sink.weight_ess() - 4.0).abs() < 1e-12);
-        // One huge weight collapses the effective sample size.
-        sink.weight(100.0);
-        assert!(sink.weight_ess() < 2.0);
-        // The serialized trace carries no weight fields at all.
-        let trace = sink.finish();
-        let json = serde_json::to_string(&trace.summary).expect("summary serializes");
-        assert!(!json.contains("weight"));
     }
 
     #[test]

@@ -74,3 +74,19 @@ fn fleet_reports_merge_identically_under_worker_crashes() {
     assert_eq!(summary.units_done, summary.units_total);
     assert_eq!(sink.to_jsonl(), driver_reference(&campaign));
 }
+
+#[test]
+fn fallback_runs_fleet_shards_as_workers_do() {
+    // No worker ever registers: the fallback must run every sweep point and
+    // fleet shard in-process, and stream what the driver streams.
+    let campaign = small_campaign(37);
+    let mut reference_sink = MemorySink::new();
+    CampaignDriver::new(&campaign).threads(2).run(&mut reference_sink).unwrap();
+
+    let mut sink = MemorySink::new();
+    let summary = ServiceHarness::new(&campaign, 0).run(&mut sink).unwrap();
+    assert_eq!(sink.to_jsonl(), reference_sink.to_jsonl());
+    assert_eq!(merged_reports(&campaign, &sink), merged_reports(&campaign, &reference_sink));
+    assert_eq!(summary.workers_seen, 0);
+    assert_eq!(summary.degraded_units, summary.units_total);
+}
