@@ -41,11 +41,6 @@ impl ArchiveConfig {
             repair_mode: RepairMode::ChecksumVerifiedPeer,
         }
     }
-
-    /// Same deployment but without any repair (for ablation experiments).
-    pub fn detect_only_three_node() -> Self {
-        Self { repair_mode: RepairMode::DetectOnly, ..Self::default_three_node() }
-    }
 }
 
 /// Errors surfaced by archive operations.

@@ -1,6 +1,6 @@
 //! Fault injection against a live archive.
 //!
-//! Turns the abstract threat rates of `ltds-faults` into concrete damage:
+//! Turns abstract per-node threat rates into concrete damage:
 //! bit flips (media bit rot / tampering), object deletions (human error),
 //! whole-store wipes (disk crash) and node outages (site/organizational
 //! failure).

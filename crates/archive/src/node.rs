@@ -2,7 +2,6 @@
 
 use crate::store::ReplicaStore;
 use ltds_core::units::Hours;
-use ltds_replication::independence::DiversityProfile;
 use std::sync::Arc;
 
 /// A replica site: one node of the archive.
@@ -18,9 +17,6 @@ pub struct ArchiveNode {
     pub scrub_period: Hours,
     /// Simulated time of the last completed scrub.
     pub last_scrub: Hours,
-    /// Diversity of this node relative to the rest of the deployment
-    /// (used to report the effective correlation factor).
-    pub diversity: DiversityProfile,
 }
 
 impl ArchiveNode {
@@ -36,7 +32,6 @@ impl ArchiveNode {
             online: true,
             scrub_period,
             last_scrub: Hours::ZERO,
-            diversity: DiversityProfile::british_library_style(),
         }
     }
 

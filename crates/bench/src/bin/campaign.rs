@@ -212,6 +212,37 @@ impl RunSummary {
     }
 }
 
+/// The driver's `--out` file, created (truncated) at its first write or
+/// flush. The driver validates the spec before it streams anything, so a
+/// refused spec leaves the previous report in place, while a valid campaign
+/// that streams nothing still gets its (empty) file from the final flush.
+struct OutFile<'a> {
+    path: &'a str,
+    file: Option<std::fs::File>,
+}
+
+impl OutFile<'_> {
+    fn open(&mut self) -> std::io::Result<&mut std::fs::File> {
+        if self.file.is_none() {
+            let file = std::fs::File::create(self.path).map_err(|e| {
+                std::io::Error::new(e.kind(), format!("cannot create {}: {e}", self.path))
+            })?;
+            self.file = Some(file);
+        }
+        Ok(self.file.as_mut().expect("opened above"))
+    }
+}
+
+impl Write for OutFile<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.open()?.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.open()?.flush()
+    }
+}
+
 /// Resolves a `--spec` argument: a built-in name, a JSON file, or (absent)
 /// the built-in demo campaign.
 fn load_spec(spec_path: Option<&str>) -> FleetCampaign {
@@ -670,9 +701,8 @@ fn main() {
     let summary = if let Some(addr) = &submit_addr {
         RunSummary::Service(submit_campaign(addr, &campaign, &out_path, poll_ms, max_polls))
     } else {
-        let file = std::fs::File::create(&out_path)
-            .unwrap_or_else(|e| fail(format!("cannot create {out_path}: {e}")));
-        let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
+        let out = OutFile { path: &out_path, file: None };
+        let mut sink = JsonlSink::new(std::io::BufWriter::new(out));
         let mut driver = CampaignDriver::new(&campaign).point_cache(&points).shard_cache(&shards);
         if let Some(threads) = threads {
             driver = driver.threads(threads);

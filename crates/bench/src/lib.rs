@@ -74,10 +74,21 @@ mod tests {
     #[test]
     fn markdown_rendering_is_nonempty() {
         let results = super::run_all();
+        let mut report = String::new();
         for r in results {
             let md = r.to_markdown();
             assert!(md.contains(&r.id));
             assert!(md.lines().count() >= r.rows.len());
+            report.push_str(&md);
         }
+        // Every row of E01–E16, exactly: the digest of the report
+        // `paper_experiments --markdown` prints. A change that moves any
+        // measured value fails here, whatever the tolerances allow.
+        assert_eq!(
+            ltds_core::hash::fnv1a(report.as_bytes()),
+            0x2286_fcc0_e4fa_4748,
+            "the E01–E16 report changed; diff `paper_experiments --markdown` against the last \
+             commit before re-pinning"
+        );
     }
 }

@@ -21,9 +21,6 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    /// All fault classes, in a stable order.
-    pub const ALL: [FaultClass; 2] = [FaultClass::Visible, FaultClass::Latent];
-
     /// Human-readable label used in reports.
     pub fn label(self) -> &'static str {
         match self {

@@ -12,10 +12,7 @@
 //!   detection `MDL`;
 //! * **correlated faults** — a multiplicative correlation factor `α ≤ 1` that
 //!   shortens the mean time to a second fault once a first fault is
-//!   outstanding;
-//! * an **end-to-end threat taxonomy** mapping non-media threats (human
-//!   error, organizational failure, obsolescence, attack, economics) onto the
-//!   same visible/latent fault abstraction.
+//!   outstanding.
 //!
 //! # Model parameters
 //!
@@ -31,11 +28,11 @@
 //! # Quick start
 //!
 //! ```
-//! use ltds_core::{presets, mttdl, mission};
+//! use ltds_core::{mission, presets, regimes};
 //!
 //! // The paper's §5.4 scenario 2: mirrored Cheetah drives, scrubbed 3x/year.
 //! let params = presets::cheetah_mirror_scrubbed();
-//! let mttdl_hours = mttdl::mttdl_latent_dominated(&params);
+//! let mttdl_hours = regimes::mttdl_latent_dominated(&params);
 //! let years = ltds_core::units::hours_to_years(mttdl_hours);
 //! assert!((years - 6128.7).abs() / 6128.7 < 0.01);
 //!
@@ -49,7 +46,6 @@
 
 pub mod correlation;
 pub mod error;
-pub mod estimation;
 pub mod failpoint;
 pub mod fault;
 pub mod hash;
@@ -63,7 +59,6 @@ pub mod regimes;
 pub mod replication;
 pub mod scrubbing;
 pub mod strategies;
-pub mod threats;
 pub mod units;
 pub mod wov;
 

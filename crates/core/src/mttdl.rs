@@ -117,20 +117,6 @@ pub fn mttdl_exact_hours(params: &ReliabilityParams) -> Hours {
     Hours::new(mttdl_exact(params))
 }
 
-/// Latent-dominated approximation, re-exported here for discoverability.
-///
-/// See [`crate::regimes::mttdl_latent_dominated`].
-pub fn mttdl_latent_dominated(params: &ReliabilityParams) -> f64 {
-    crate::regimes::mttdl_latent_dominated(params)
-}
-
-/// Visible-dominated approximation, re-exported here for discoverability.
-///
-/// See [`crate::regimes::mttdl_visible_dominated`].
-pub fn mttdl_visible_dominated(params: &ReliabilityParams) -> f64 {
-    crate::regimes::mttdl_visible_dominated(params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,9 +15,7 @@
 
 use crate::topology::FleetTopology;
 use ltds_core::fault::FaultClass;
-use ltds_core::threats::ThreatCategory;
 use ltds_core::units::Hours;
-use ltds_faults::{CorrelationStructure, SharedComponent};
 use ltds_stochastic::SimRng;
 use serde::{Deserialize, Serialize};
 
@@ -143,52 +141,6 @@ impl BurstProfile {
         });
         out
     }
-
-    /// Bridges the burst structure back to the abstract `α` model: builds
-    /// the [`CorrelationStructure`] a representative replica pair of the
-    /// given topology experiences, and estimates the equivalent correlation
-    /// factor for a pair with the given independent MTTF and repair window.
-    ///
-    /// Replicas of one group share a burst domain only when the topology
-    /// forces them to (e.g. a single-site fleet puts every pair in the same
-    /// site-disaster blast radius). The estimate quantifies how much of the
-    /// fleet's correlation the per-group `α` would have to absorb.
-    pub fn equivalent_alpha(
-        &self,
-        topology: &FleetTopology,
-        independent_mttf: Hours,
-        repair_time: Hours,
-    ) -> f64 {
-        let mut structure = CorrelationStructure::independent();
-        // Replicas 0 and 1 of group 0, as placed by the deterministic policy.
-        let a = topology.place(0, 0);
-        let b = topology.place(0, 1);
-        let levels = [
-            (self.site_mtbf_hours, topology.site_of(a) == topology.site_of(b), "shared site"),
-            (self.rack_mtbf_hours, topology.rack_of(a) == topology.rack_of(b), "shared rack"),
-            (self.node_mtbf_hours, topology.node_of(a) == topology.node_of(b), "shared node"),
-            (self.drive_mtbf_hours, a == b, "shared drive"),
-        ];
-        for (mtbf, shared, name) in levels {
-            let (Some(mtbf), true) = (mtbf, shared) else { continue };
-            // A burst anywhere in the fleet hits this pair's domain with
-            // probability 1/instances; fold that into the component rate.
-            let instances = match name {
-                "shared site" => topology.sites,
-                "shared rack" => topology.total_racks(),
-                "shared node" => topology.total_nodes(),
-                _ => topology.total_drives(),
-            };
-            structure.add(SharedComponent::new(
-                name,
-                vec![0, 1],
-                Hours::new(mtbf * instances as f64),
-                ThreatCategory::LargeScaleDisaster,
-                FaultClass::Visible,
-            ));
-        }
-        structure.estimate_alpha(0, 1, independent_mttf, repair_time)
-    }
 }
 
 /// One correlated failure burst.
@@ -273,19 +225,5 @@ mod tests {
         assert_eq!(FaultDomain::Rack.fault_class(), FaultClass::Visible);
         assert_eq!(FaultDomain::Node.fault_class(), FaultClass::Visible);
         assert_eq!(FaultDomain::Drive.fault_class(), FaultClass::Latent);
-    }
-
-    #[test]
-    fn equivalent_alpha_reflects_shared_fate() {
-        let profile = BurstProfile::disaster_scenario();
-        // Multi-site topology: replicas 0 and 1 land in different sites and
-        // share nothing, so alpha is 1.
-        let spread = topo();
-        let alpha = profile.equivalent_alpha(&spread, Hours::new(1.4e6), Hours::new(10.0));
-        assert_eq!(alpha, 1.0);
-        // Single-site fleet: the pair shares the site blast radius.
-        let cramped = FleetTopology::new(1, 2, 2, 4).unwrap();
-        let alpha = profile.equivalent_alpha(&cramped, Hours::new(1.4e6), Hours::new(10.0));
-        assert!(alpha < 1.0, "alpha {alpha}");
     }
 }

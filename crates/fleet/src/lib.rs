@@ -25,8 +25,7 @@
 //! * [`ScrubTour`] reuses `ltds_scrub::ScrubStrategy` for per-drive scrub
 //!   policies, shared across each node's drives;
 //! * [`BurstProfile`] layers hierarchical correlated failures on top of the
-//!   within-group `α` model of `ltds-core`, and can translate its structure
-//!   back into an equivalent `α` via `ltds-faults`;
+//!   within-group `α` model of `ltds-core`;
 //! * [`RepairBandwidth`] gives every site a FIFO repair pipeline with a
 //!   byte budget.
 //!

@@ -1,18 +1,13 @@
-//! Replication configurations, erasure-coding overheads, and the
-//! diversity-to-independence mapping (§5.5, §6.4, §6.5).
+//! The diversity-to-independence mapping (§6.5).
 //!
 //! The core model's Equation 12 treats replication abstractly (`r` copies,
-//! one `α`). This crate adds the operational detail: what a configuration
-//! costs in storage and repair bandwidth (whole-copy replication vs RAID
-//! parity vs m-of-n erasure coding, the Weatherspoon comparison), and how the
-//! concrete diversity of a deployment — hardware, software, geography,
-//! administration, organization — maps to the correlation factor.
+//! one `α`). This crate maps the concrete diversity of a deployment —
+//! hardware, software, geography, administration, third-party components,
+//! organization — to that correlation factor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod config;
 pub mod independence;
 
-pub use config::ReplicationConfig;
 pub use independence::{DiversityDimension, DiversityProfile};

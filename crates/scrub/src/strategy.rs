@@ -1,7 +1,7 @@
 //! Scrub scheduling policies and their analytic effect on `MDL`.
 
 use ltds_core::scrubbing;
-use ltds_core::units::{Hours, HOURS_PER_YEAR};
+use ltds_core::units::Hours;
 use serde::{Deserialize, Serialize};
 
 /// A scrub scheduling policy.
@@ -153,9 +153,6 @@ pub fn frequency_sweep(
         })
         .collect()
 }
-
-/// Hours in one year, re-exported for convenience in sweep definitions.
-pub const YEAR_HOURS: f64 = HOURS_PER_YEAR;
 
 #[cfg(test)]
 mod tests {

@@ -44,6 +44,13 @@
 //!   bytes behind is deterministically disconnected (the server retains
 //!   every tenant's full stream, so the client reconnects with its cursor
 //!   and loses nothing).
+//! * **Orderly exit** — the server sends `Shutdown` to every worker, then
+//!   half-closes each socket and drains it until the peer hangs up, so no
+//!   unread heartbeat turns the close into a reset that destroys the
+//!   `Shutdown` in flight.
+//! * **Status** — a [`ClientHello::Status`] probe ([`status_tcp`]) returns
+//!   the registered worker names, so a client can wait for its fleet before
+//!   it submits.
 //! * **Fail points** — `net.conn.drop` (worker drops its socket mid-unit),
 //!   `net.frame.truncate` (worker writes half a `Done` frame, gluing it to
 //!   the next one), and `net.accept.stall` (server skips an accept round)
@@ -61,7 +68,7 @@ use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The first frame every client sends: who it is and what it wants.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,6 +91,18 @@ pub enum ClientHello {
         /// duplication after a reconnect).
         cursor: u64,
     },
+    /// A one-shot probe: the server answers with one [`NetStatus`] frame
+    /// and closes the connection.
+    Status,
+}
+
+/// The server's answer to [`ClientHello::Status`], as of the poll that
+/// read the probe.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct NetStatus {
+    /// Every worker name that has said hello, in name order: exactly the
+    /// fleet a tenant submitted next starts with.
+    pub workers: Vec<String>,
 }
 
 /// Worker-to-server messages after the hello. The tenant id scopes
@@ -328,6 +347,8 @@ enum Peer {
         /// The final `Done` delta has been queued; close after it flushes.
         finished: bool,
     },
+    /// A status probe, answered; close after the answer flushes.
+    Status,
 }
 
 struct Conn {
@@ -549,6 +570,11 @@ where
                                 finished: false,
                             };
                         }
+                        Ok(ClientHello::Status) => {
+                            let status = NetStatus { workers: workers.keys().cloned().collect() };
+                            conn.queue(&serde_json::to_string(&status).expect("status serializes"));
+                            conn.peer = Peer::Status;
+                        }
                         Err(_) => {
                             summary.corrupt_frames += 1;
                             conn.dead = true;
@@ -607,8 +633,8 @@ where
                             }
                         }
                     }
-                    Peer::Subscriber { .. } => {
-                        // Subscribers only ever send the one hello.
+                    Peer::Subscriber { .. } | Peer::Status => {
+                        // Subscribers and probes only ever send the one hello.
                         summary.corrupt_frames += 1;
                     }
                 }
@@ -704,10 +730,11 @@ where
                 summary.slow_subscribers_dropped += 1;
                 conn.dead = true;
             }
-            // A finished subscriber with nothing left to write is closed
-            // so its client sees EOF right after the Done delta.
+            // A finished subscriber or an answered probe with nothing left
+            // to write is closed, so its client sees EOF right after its
+            // last frame.
             if !conn.dead
-                && matches!(conn.peer, Peer::Subscriber { finished: true, .. })
+                && matches!(conn.peer, Peer::Subscriber { finished: true, .. } | Peer::Status)
                 && conn.outbuf.is_empty()
             {
                 conn.dead = true;
@@ -729,7 +756,11 @@ where
         }
     }
 
-    // Orderly exit: tell every worker to go home and drain the buffers.
+    // Orderly exit: tell every worker to go home and drain the buffers,
+    // then half-close each socket and read it until the peer hangs up (one
+    // second at most in all). Closing a socket that still holds unread
+    // input (a worker heartbeats every poll) resets it, and the reset can
+    // destroy a queued `Shutdown` before the worker reads it.
     let shutdown = serde_json::to_string(&NetServerMsg::Shutdown).expect("message serializes");
     for conn in &mut conns {
         if matches!(conn.peer, Peer::Worker { .. }) {
@@ -742,6 +773,25 @@ where
             }
             std::thread::sleep(Duration::from_millis(1));
         }
+        conn.stream.shutdown(std::net::Shutdown::Write).ok();
+    }
+    drop(listener);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let mut buf = [0u8; 8192];
+    while conns.iter().any(|c| !c.dead) && Instant::now() < deadline {
+        for conn in conns.iter_mut().filter(|c| !c.dead) {
+            loop {
+                match conn.stream.read(&mut buf) {
+                    Ok(0) => conn.dead = true,
+                    Ok(_) => continue,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                    Err(_) => conn.dead = true,
+                }
+                break;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(1));
     }
     Ok(summary)
 }
@@ -984,6 +1034,34 @@ pub fn submit_tcp(
     }
 }
 
+/// Asks the server at `addr` for a [`NetStatus`] snapshot: one connection,
+/// one [`ClientHello::Status`] hello, one answer frame, waiting at most
+/// `timeout` for each read.
+pub fn status_tcp(addr: &str, timeout: Duration) -> Result<NetStatus, CampaignError> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_nodelay(true).ok();
+    write_frame(
+        &mut stream,
+        &serde_json::to_string(&ClientHello::Status).expect("hello serializes"),
+    )?;
+    let mut decoder = FrameDecoder::new();
+    let mut buf = [0u8; 8192];
+    loop {
+        let n = stream.read(&mut buf)?;
+        if n == 0 {
+            let eof =
+                std::io::Error::new(ErrorKind::UnexpectedEof, "server closed before its status");
+            return Err(eof.into());
+        }
+        if let Some(frame) = decoder.feed(&buf[..n]).into_iter().next() {
+            return serde_json::from_str(&frame).map_err(|e| {
+                std::io::Error::new(ErrorKind::InvalidData, format!("bad status frame: {e}")).into()
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1064,6 +1142,20 @@ mod tests {
         panic!("server never published its address at {}", path.display());
     }
 
+    /// Polls the server's status until it has registered `workers` workers,
+    /// so the tenant submitted next starts with the whole fleet. A worker
+    /// that first connects after that tenant finished would find the server
+    /// gone and fail its reconnect.
+    fn wait_workers(addr: &str, workers: usize) {
+        for _ in 0..10_000 {
+            if status_tcp(addr, Duration::from_secs(5)).unwrap().workers.len() == workers {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("the server never registered {workers} workers");
+    }
+
     #[test]
     fn tcp_streams_match_driver_for_any_fleet_size() {
         let campaign = campaign(41);
@@ -1087,6 +1179,7 @@ mod tests {
                         scope.spawn(move || run_tcp_worker::<ToyScenario>(&config))
                     })
                     .collect();
+                wait_workers(&addr, workers);
                 let mut out: Vec<u8> = Vec::new();
                 let summary = submit_tcp(&submit_config(&addr), &spec, &mut out).unwrap();
                 assert_eq!(

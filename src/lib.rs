@@ -5,13 +5,11 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`core`] | `ltds-core` | The paper's analytic reliability model (Equations 1–12), threat taxonomy, strategies |
+//! | [`core`] | `ltds-core` | The paper's analytic reliability model (Equations 1–12) and its §6 improvement strategies |
 //! | [`stochastic`] | `ltds-stochastic` | Seeded xoshiro256++ RNG, exponential fault races, binomial thinning, estimators |
 //! | [`devices`] | `ltds-devices` | Drive catalogue, bit-error/cost/media models |
-//! | [`faults`] | `ltds-faults` | Threat profiles, fault injectors, correlation structure |
 //! | [`scrub`] | `ltds-scrub` | Audit strategies, checksum and voting auditors |
-//! | [`repair`] | `ltds-repair` | Repair strategies and repair-induced risk |
-//! | [`replication`] | `ltds-replication` | Replication configs, diversity → α mapping |
+//! | [`replication`] | `ltds-replication` | Diversity → α mapping (§6.5) |
 //! | [`sim`] | `ltds-sim` | Discrete-event Monte-Carlo simulator (one group at a time) |
 //! | [`fleet`] | `ltds-fleet` | Fleet-scale discrete-event engine: shared repair bandwidth, scrub tours, correlated bursts |
 //! | [`telemetry`] | `ltds-telemetry` | Deterministic sim-time telemetry: metric samples, loss post-mortems, checksummed trace export |
@@ -20,11 +18,11 @@
 //! # Quickstart
 //!
 //! ```
-//! use ltds::core::{mttdl, presets, units};
+//! use ltds::core::{presets, regimes, units};
 //!
 //! // The paper's scrubbed-mirror scenario: ~6100 years MTTDL.
 //! let params = presets::cheetah_mirror_scrubbed();
-//! let years = units::hours_to_years(mttdl::mttdl_latent_dominated(&params));
+//! let years = units::hours_to_years(regimes::mttdl_latent_dominated(&params));
 //! assert!(years > 6000.0);
 //! ```
 //!
@@ -45,9 +43,7 @@
 pub use ltds_archive as archive;
 pub use ltds_core as core;
 pub use ltds_devices as devices;
-pub use ltds_faults as faults;
 pub use ltds_fleet as fleet;
-pub use ltds_repair as repair;
 pub use ltds_replication as replication;
 pub use ltds_scrub as scrub;
 pub use ltds_sim as sim;

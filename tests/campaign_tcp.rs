@@ -13,8 +13,8 @@ use ltds::fleet::{FleetCampaign, FleetConfig, FleetScenario, FleetTopology, Shar
 use ltds::sim::campaign::{Campaign, CampaignDriver, MemorySink, SweepAxis, SweepSpec};
 use ltds::sim::config::SimConfig;
 use ltds::sim::net::{
-    run_tcp_worker, serve_tcp, submit_tcp, BackoffPolicy, ClientHello, NetServerMsg, NetWorkerMsg,
-    TcpServerConfig, TcpSubmitConfig, TcpWorkerConfig,
+    run_tcp_worker, serve_tcp, status_tcp, submit_tcp, BackoffPolicy, ClientHello, NetServerMsg,
+    NetWorkerMsg, TcpServerConfig, TcpSubmitConfig, TcpWorkerConfig,
 };
 use ltds::sim::service::ServiceConfig;
 use ltds::sim::SweepCache;
@@ -118,6 +118,19 @@ fn wait_addr(path: &Path) -> String {
     panic!("server never published its address at {}", path.display());
 }
 
+/// Polls the server's status until it has registered `workers` workers, so
+/// the tenant submitted next starts with the whole fleet. A worker that
+/// first connects after that tenant finished would find the server gone.
+fn wait_workers(addr: &str, workers: usize) {
+    for _ in 0..10_000 {
+        if status_tcp(addr, Duration::from_secs(5)).unwrap().workers.len() == workers {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    panic!("the server never registered {workers} workers");
+}
+
 #[test]
 fn tcp_fleet_streams_byte_identically_for_any_fleet_size() {
     let campaign = small_campaign(61);
@@ -136,6 +149,7 @@ fn tcp_fleet_streams_byte_identically_for_any_fleet_size() {
                     scope.spawn(move || run_tcp_worker::<FleetScenario>(&config))
                 })
                 .collect();
+            wait_workers(&addr, workers);
 
             let mut out: Vec<u8> = Vec::new();
             let summary = submit_tcp(&submit_config(&addr, 0), &spec, &mut out).unwrap();
