@@ -78,7 +78,7 @@ mod tests {
     fn new_node_is_online_and_empty() {
         let n = ArchiveNode::new("site-a", Hours::from_days(30.0));
         assert!(n.is_online());
-        assert!(n.store.is_empty());
+        assert!(n.store.object_ids().is_empty());
         assert_eq!(n.name, "site-a");
     }
 

@@ -47,21 +47,6 @@ impl ReplicaStore {
         self.write_guard().remove(id).is_some()
     }
 
-    /// Number of stored objects.
-    pub fn len(&self) -> usize {
-        self.read_guard().len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.read_guard().is_empty()
-    }
-
-    /// Total stored bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.read_guard().values().map(|b| b.len()).sum()
-    }
-
     /// All object ids, sorted.
     pub fn object_ids(&self) -> Vec<String> {
         self.read_guard().keys().cloned().collect()
@@ -98,11 +83,10 @@ mod tests {
     #[test]
     fn put_get_delete() {
         let s = ReplicaStore::new();
-        assert!(s.is_empty());
+        assert!(s.object_ids().is_empty());
         s.put("a", b"hello".to_vec());
         assert_eq!(s.get("a").unwrap().as_ref(), b"hello");
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.total_bytes(), 5);
+        assert_eq!(s.object_ids().len(), 1);
         assert!(s.delete("a"));
         assert!(!s.delete("a"));
         assert!(s.get("a").is_none());
@@ -152,7 +136,7 @@ mod tests {
         s.put("a", b"1".to_vec());
         s.put("b", b"2".to_vec());
         s.wipe();
-        assert!(s.is_empty());
+        assert!(s.object_ids().is_empty());
     }
 
     #[test]
@@ -166,7 +150,7 @@ mod tests {
         assert!(s.objects.is_poisoned());
         assert_eq!(s.get("a").unwrap().as_ref(), b"1");
         s.put("b", b"2".to_vec());
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.object_ids().len(), 2);
     }
 
     #[test]
@@ -175,6 +159,6 @@ mod tests {
         s.put("a", b"v1".to_vec());
         s.put("a", b"v2".to_vec());
         assert_eq!(s.get("a").unwrap().as_ref(), b"v2");
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.object_ids().len(), 1);
     }
 }

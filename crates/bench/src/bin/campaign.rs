@@ -312,6 +312,32 @@ fn submit_campaign(
         .unwrap_or_else(|e| fail(format!("submission failed: {e}")))
 }
 
+/// The file name of a scenario's `--fleet-reports` report. Scenario names
+/// come from specs; keep the filename tame.
+fn report_file(scenario: &str) -> String {
+    let safe: String = scenario
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+        .collect();
+    format!("{safe}.json")
+}
+
+/// Refuses a spec in which two distinct scenario names map to one
+/// [`report_file`]: the later report would overwrite the earlier one.
+fn check_report_files(campaign: &FleetCampaign) {
+    let mut owners = std::collections::BTreeMap::new();
+    for scenario in &campaign.scenarios {
+        let file = report_file(&scenario.name);
+        match owners.get(&file) {
+            Some(&first) if first != scenario.name => fail(format!(
+                "scenarios `{first}` and `{}` would both write the fleet report {file}",
+                scenario.name
+            )),
+            _ => owners.insert(file, scenario.name.as_str()),
+        };
+    }
+}
+
 /// Folds the finished report at `out_path` into merged per-scenario
 /// [`ltds_fleet::FleetReport`]s, written as `dir/<scenario>.json`. Reading
 /// the stream back gives both modes one path: the in-process driver and a
@@ -333,12 +359,7 @@ fn write_fleet_reports(out_path: &str, campaign: &FleetCampaign, dir: &Path) {
     let reports = fleet_reports(campaign, &records)
         .unwrap_or_else(|e| fail(format!("cannot merge fleet reports: {e}")));
     for (name, report) in &reports {
-        // Scenario names come from specs; keep the filename tame.
-        let safe: String = name
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-            .collect();
-        let path = dir.join(format!("{safe}.json"));
+        let path = dir.join(report_file(name));
         let json = serde_json::to_string_pretty(report).expect("report serializes");
         std::fs::write(&path, json + "\n")
             .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", path.display())));
@@ -590,6 +611,9 @@ fn main() {
             campaign.sweeps.len(),
             campaign.scenarios.len()
         );
+        if reports_dir.is_some() {
+            check_report_files(campaign);
+        }
     }
     // Persistent caches: load whatever a previous run left, then write
     // every fresh result through so a kill loses at most one record.
@@ -678,7 +702,6 @@ fn main() {
             idle_polls: max_polls,
             tenants,
             service,
-            ..TcpServerConfig::default()
         };
         match serve_tcp::<FleetScenario>(&config, Some(&points), Some(&shards)) {
             Ok(summary) => {

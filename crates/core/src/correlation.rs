@@ -10,39 +10,6 @@
 
 use crate::error::ModelError;
 use crate::params::ReliabilityParams;
-use serde::{Deserialize, Serialize};
-
-/// A validated correlation factor in `(0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-pub struct CorrelationFactor(f64);
-
-impl CorrelationFactor {
-    /// Fully independent replicas (`α = 1`).
-    pub const INDEPENDENT: CorrelationFactor = CorrelationFactor(1.0);
-
-    /// The `α = 0.1` value suggested by Chen et al. and used in §5.4.
-    pub const CHEN: CorrelationFactor = CorrelationFactor(0.1);
-
-    /// Creates a correlation factor, validating that it lies in `(0, 1]`.
-    pub fn new(alpha: f64) -> Result<Self, ModelError> {
-        if alpha > 0.0 && alpha <= 1.0 && alpha.is_finite() {
-            Ok(Self(alpha))
-        } else {
-            Err(ModelError::InvalidCorrelation { alpha })
-        }
-    }
-
-    /// The raw value.
-    pub fn get(self) -> f64 {
-        self.0
-    }
-
-    /// How much the mean time to a second fault is shortened
-    /// (`1/α`, the "acceleration" applied inside a window of vulnerability).
-    pub fn acceleration(self) -> f64 {
-        1.0 / self.0
-    }
-}
 
 /// The paper's heuristic lower bound on `α`: the correlated mean time to a
 /// second visible fault should still be at least `margin` times the recovery
@@ -104,19 +71,6 @@ pub fn combine_alphas<I: IntoIterator<Item = f64>>(alphas: I) -> Result<f64, Mod
 mod tests {
     use super::*;
     use crate::presets;
-
-    #[test]
-    fn validated_construction() {
-        assert!(CorrelationFactor::new(0.5).is_ok());
-        assert!(CorrelationFactor::new(1.0).is_ok());
-        assert!(CorrelationFactor::new(0.0).is_err());
-        assert!(CorrelationFactor::new(-0.1).is_err());
-        assert!(CorrelationFactor::new(1.1).is_err());
-        assert!(CorrelationFactor::new(f64::NAN).is_err());
-        assert_eq!(CorrelationFactor::CHEN.get(), 0.1);
-        assert_eq!(CorrelationFactor::INDEPENDENT.acceleration(), 1.0);
-        assert!((CorrelationFactor::CHEN.acceleration() - 10.0).abs() < 1e-12);
-    }
 
     #[test]
     fn paper_lower_bound_is_two_e_minus_six() {

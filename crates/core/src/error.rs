@@ -29,11 +29,6 @@ pub enum ModelError {
         /// The offending value.
         value: f64,
     },
-    /// An approximation was evaluated outside its validity regime.
-    RegimeViolation {
-        /// Human-readable description of the violated assumption.
-        assumption: String,
-    },
     /// A dimensionless configuration quantity (a count, rate or size) was
     /// invalid. Used by configuration layers (e.g. fleet topology) whose
     /// parameters are not mean times, correlations or probabilities.
@@ -60,9 +55,6 @@ impl fmt::Display for ModelError {
             ModelError::InvalidProbability { parameter, value } => {
                 write!(f, "probability {parameter} must be in [0, 1], got {value}")
             }
-            ModelError::RegimeViolation { assumption } => {
-                write!(f, "approximation used outside its validity regime: {assumption}")
-            }
             ModelError::InvalidQuantity { parameter, value } => {
                 write!(f, "invalid {parameter}: {value}")
             }
@@ -86,8 +78,6 @@ mod tests {
         assert!(e.to_string().contains("at least 1"));
         let e = ModelError::InvalidProbability { parameter: "p", value: 1.5 };
         assert!(e.to_string().contains("[0, 1]"));
-        let e = ModelError::RegimeViolation { assumption: "MRV << MV".into() };
-        assert!(e.to_string().contains("MRV << MV"));
         let e = ModelError::InvalidQuantity { parameter: "sites", value: 0.0 };
         assert!(e.to_string().contains("sites"));
         assert!(!e.to_string().contains("hours"));

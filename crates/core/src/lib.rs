@@ -62,9 +62,8 @@ pub mod strategies;
 pub mod units;
 pub mod wov;
 
-pub use correlation::CorrelationFactor;
 pub use error::ModelError;
-pub use fault::{DoubleFault, FaultClass};
+pub use fault::FaultClass;
 pub use params::ReliabilityParams;
 pub use regimes::OperatingRegime;
 pub use units::Hours;

@@ -36,42 +36,6 @@ pub fn probability_within_linearised(t: f64, mttf: f64) -> f64 {
     (t / mttf).min(1.0)
 }
 
-/// Relative error of the linearisation at window `t` for the given MTTF.
-pub fn linearisation_error(t: f64, mttf: f64) -> f64 {
-    let exact = probability_within(t, mttf);
-    if exact == 0.0 {
-        return 0.0;
-    }
-    (probability_within_linearised(t, mttf) - exact).abs() / exact
-}
-
-/// Checks the paper's "≪" precondition: `small * margin <= large`.
-///
-/// Returns a [`ModelError::RegimeViolation`] describing the failed assumption
-/// when it does not hold.
-pub fn require_much_less(
-    small: f64,
-    large: f64,
-    margin: f64,
-    description: &str,
-) -> Result<(), ModelError> {
-    if small.is_finite() && small * margin <= large {
-        Ok(())
-    } else {
-        Err(ModelError::RegimeViolation {
-            assumption: format!("{description}: required {small} * {margin} <= {large}"),
-        })
-    }
-}
-
-/// Converts a mean time to failure into an equivalent annualised failure rate
-/// (expected faults per year), the reciprocal view used when comparing with
-/// drive datasheets.
-pub fn mttf_hours_to_faults_per_year(mttf_hours: f64) -> f64 {
-    assert!(mttf_hours > 0.0, "MTTF must be positive");
-    crate::units::HOURS_PER_YEAR / mttf_hours
-}
-
 /// Converts a probability of failure over a service life into the equivalent
 /// exponential MTTF (hours). This is how the §6.1 "7% over 5 years" datasheet
 /// figures map onto `MV`.
@@ -110,32 +74,9 @@ mod tests {
     }
 
     #[test]
-    fn linearisation_accurate_for_small_windows() {
-        // MRV = 20 minutes against MV = 1.4e6 hours: the linearisation is
-        // essentially exact.
-        let err = linearisation_error(1.0 / 3.0, 1.4e6);
-        assert!(err < 1e-6);
-    }
-
-    #[test]
     fn linearisation_clamps_to_one() {
         assert_eq!(probability_within_linearised(1.0e9, 1.0), 1.0);
         assert!(probability_within(1.0e9, 1.0) <= 1.0);
-    }
-
-    #[test]
-    fn require_much_less_behaviour() {
-        assert!(require_much_less(1.0, 1000.0, 100.0, "MRV << MV").is_ok());
-        let err = require_much_less(100.0, 1000.0, 100.0, "MRV << MV").unwrap_err();
-        assert!(matches!(err, ModelError::RegimeViolation { .. }));
-        assert!(require_much_less(f64::INFINITY, 1000.0, 2.0, "MDL << MV").is_err());
-    }
-
-    #[test]
-    fn faults_per_year_conversion() {
-        // MV = 8760 hours is exactly one fault per year.
-        assert!((mttf_hours_to_faults_per_year(8760.0) - 1.0).abs() < 1e-12);
-        assert!((mttf_hours_to_faults_per_year(1.4e6) - 0.006_257).abs() < 1e-4);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! data loss over a 50-year mission, obtained by plugging the MTTDL into the
 //! exponential distribution (Equation 1): `P(loss by T) = 1 - e^{-T/MTTDL}`.
 
-use crate::error::ModelError;
-use crate::units::{years_to_hours, Hours};
+use crate::units::years_to_hours;
 
 /// Probability of losing the data within `mission_hours`, given an MTTDL in
 /// hours (Equation 1 applied to the data-loss process).
@@ -25,81 +24,9 @@ pub fn probability_of_loss(mttdl_hours: f64, mission_hours: f64) -> f64 {
     1.0 - (-mission_hours / mttdl_hours).exp()
 }
 
-/// Probability of surviving a mission of the given length.
-pub fn probability_of_survival(mttdl_hours: f64, mission_hours: f64) -> f64 {
-    1.0 - probability_of_loss(mttdl_hours, mission_hours)
-}
-
 /// Convenience wrapper: probability of loss over a mission expressed in years.
 pub fn probability_of_loss_years(mttdl_hours: f64, mission_years: f64) -> f64 {
     probability_of_loss(mttdl_hours, years_to_hours(mission_years))
-}
-
-/// The MTTDL (hours) required to keep the probability of loss below
-/// `max_loss_probability` over a mission of `mission_hours`.
-///
-/// This inverts Equation 1 and answers design questions like "what MTTDL do I
-/// need for a 99.9 % chance of surviving a century?".
-pub fn required_mttdl(mission_hours: f64, max_loss_probability: f64) -> Result<f64, ModelError> {
-    if !(0.0 < max_loss_probability && max_loss_probability < 1.0) {
-        return Err(ModelError::InvalidProbability {
-            parameter: "max loss probability",
-            value: max_loss_probability,
-        });
-    }
-    if mission_hours <= 0.0 {
-        return Err(ModelError::InvalidMeanTime { parameter: "mission", value: mission_hours });
-    }
-    Ok(-mission_hours / (1.0 - max_loss_probability).ln())
-}
-
-/// Expected number of data-loss incidents over a mission if losses recur
-/// independently at rate `1/MTTDL` (e.g. when each incident is repaired from
-/// an off-site copy and the archive keeps operating).
-pub fn expected_loss_incidents(mttdl_hours: f64, mission_hours: f64) -> f64 {
-    assert!(mttdl_hours > 0.0, "MTTDL must be positive");
-    assert!(mission_hours >= 0.0, "mission duration must be non-negative");
-    mission_hours / mttdl_hours
-}
-
-/// Annualised probability of loss implied by an MTTDL, the figure usually
-/// quoted as "annual durability".
-pub fn annual_loss_probability(mttdl_hours: f64) -> f64 {
-    probability_of_loss(mttdl_hours, years_to_hours(1.0))
-}
-
-/// Number of "nines of durability" over the given mission
-/// (e.g. 0.99999 survival = 5 nines).
-pub fn nines_of_durability(mttdl_hours: f64, mission_hours: f64) -> f64 {
-    let p_loss = probability_of_loss(mttdl_hours, mission_hours);
-    if p_loss <= 0.0 {
-        return f64::INFINITY;
-    }
-    -p_loss.log10()
-}
-
-/// A compact summary pairing an MTTDL with the 50-year loss probability the
-/// paper uses as its headline number.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MissionSummary {
-    /// Mean time to data loss.
-    pub mttdl: Hours,
-    /// Mission length.
-    pub mission: Hours,
-    /// Probability of data loss within the mission.
-    pub loss_probability: f64,
-}
-
-impl MissionSummary {
-    /// Builds a summary for the paper's standard 50-year mission.
-    pub fn fifty_year(mttdl: Hours) -> Self {
-        Self::new(mttdl, Hours::from_years(50.0))
-    }
-
-    /// Builds a summary for an arbitrary mission length.
-    pub fn new(mttdl: Hours, mission: Hours) -> Self {
-        Self { mttdl, mission, loss_probability: probability_of_loss(mttdl.get(), mission.get()) }
-    }
 }
 
 #[cfg(test)]
@@ -122,59 +49,8 @@ mod tests {
     }
 
     #[test]
-    fn survival_is_complement() {
-        let mttdl = years_to_hours(100.0);
-        let mission = years_to_hours(50.0);
-        let loss = probability_of_loss(mttdl, mission);
-        let survive = probability_of_survival(mttdl, mission);
-        assert!((loss + survive - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_mission_has_no_loss() {
         assert_eq!(probability_of_loss(1000.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn required_mttdl_inverts() {
-        let mission = years_to_hours(50.0);
-        let mttdl = required_mttdl(mission, 0.008).unwrap();
-        let p = probability_of_loss(mttdl, mission);
-        assert!((p - 0.008).abs() < 1e-12);
-        // 0.8% over 50 years needs an MTTDL of roughly 6200 years.
-        assert!((mttdl / 8760.0 - 6226.0).abs() < 50.0);
-    }
-
-    #[test]
-    fn required_mttdl_rejects_bad_probability() {
-        assert!(required_mttdl(1000.0, 0.0).is_err());
-        assert!(required_mttdl(1000.0, 1.0).is_err());
-        assert!(required_mttdl(0.0, 0.5).is_err());
-    }
-
-    #[test]
-    fn expected_incidents_linear_in_time() {
-        let mttdl = years_to_hours(10.0);
-        assert!((expected_loss_incidents(mttdl, years_to_hours(50.0)) - 5.0).abs() < 1e-12);
-        assert_eq!(expected_loss_incidents(mttdl, 0.0), 0.0);
-    }
-
-    #[test]
-    fn annual_probability_and_nines() {
-        let mttdl = years_to_hours(1000.0);
-        let annual = annual_loss_probability(mttdl);
-        assert!((annual - 0.001).abs() < 1e-4);
-        let nines = nines_of_durability(mttdl, years_to_hours(1.0));
-        assert!((nines - 3.0).abs() < 0.1, "nines {nines}");
-    }
-
-    #[test]
-    fn mission_summary_matches_functions() {
-        let s = MissionSummary::fifty_year(Hours::from_years(32.0));
-        assert!((s.loss_probability - 0.79).abs() < 0.005);
-        assert_eq!(s.mission, Hours::from_years(50.0));
-        let custom = MissionSummary::new(Hours::from_years(100.0), Hours::from_years(10.0));
-        assert!((custom.loss_probability - (1.0 - (-0.1f64).exp())).abs() < 1e-12);
     }
 
     #[test]

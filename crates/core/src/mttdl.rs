@@ -22,7 +22,6 @@
 //!   simulator matches this variant.
 
 use crate::params::ReliabilityParams;
-use crate::units::Hours;
 use crate::wov::DoubleFaultProbabilities;
 
 /// Equation 7 with saturation, evaluated as in the paper: the double-fault
@@ -92,36 +91,11 @@ pub fn mttdl_closed_form(params: &ReliabilityParams) -> f64 {
     numerator / denominator
 }
 
-/// The double-fault *rate* (per hour), i.e. `1 / MTTDL` from Equation 7 under
-/// the paper's evaluation convention.
-pub fn double_fault_rate(params: &ReliabilityParams) -> f64 {
-    1.0 / mttdl_exact(params)
-}
-
-/// Contribution of each first-fault class to the total double-fault rate,
-/// `(rate after a visible first fault, rate after a latent first fault)`.
-///
-/// The two components sum to [`double_fault_rate`]. Useful for answering
-/// "which class of first fault is actually killing us?"
-pub fn double_fault_rate_by_first_fault(params: &ReliabilityParams) -> (f64, f64) {
-    let probs = DoubleFaultProbabilities::independent(params);
-    let alpha = params.alpha();
-    (
-        probs.any_after_visible() / (alpha * params.mttf_visible().get()),
-        probs.any_after_latent() / (alpha * params.mttf_latent().get()),
-    )
-}
-
-/// Mean time to data loss expressed as [`Hours`] using the exact form.
-pub fn mttdl_exact_hours(params: &ReliabilityParams) -> Hours {
-    Hours::new(mttdl_exact(params))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets;
     use crate::units::{hours_to_years, Hours};
+    use crate::{presets, scrubbing};
 
     #[test]
     fn scenario_one_no_scrubbing_is_32_years() {
@@ -203,32 +177,15 @@ mod tests {
     }
 
     #[test]
-    fn rate_decomposition_sums_to_total() {
-        let params = presets::cheetah_mirror_scrubbed();
-        let (after_v, after_l) = double_fault_rate_by_first_fault(&params);
-        let total = double_fault_rate(&params);
-        assert!((after_v + after_l - total).abs() / total < 1e-12);
-        // With scrubbing, latent-first double faults still dominate because
-        // latent faults are 5x as frequent and their window includes MDL.
-        assert!(after_l > after_v);
-    }
-
-    #[test]
     fn better_detection_improves_mttdl() {
         let no_scrub = presets::cheetah_mirror_no_scrub();
         let scrubbed = presets::cheetah_mirror_scrubbed();
-        let weekly = presets::with_scrub_rate(&no_scrub, 52.0);
+        let weekly = no_scrub.with_detect_latent(scrubbing::mdl_for_scrub_rate(52.0)).unwrap();
         let m_none = mttdl_exact(&no_scrub);
         let m_3x = mttdl_exact(&scrubbed);
         let m_52x = mttdl_exact(&weekly);
         assert!(m_3x > m_none * 10.0, "scrubbing should help by orders of magnitude");
         assert!(m_52x > m_3x, "more frequent scrubbing should help further");
-    }
-
-    #[test]
-    fn mttdl_exact_hours_wrapper() {
-        let params = presets::cheetah_mirror_no_scrub();
-        assert_eq!(mttdl_exact_hours(&params).get(), mttdl_exact(&params));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //!   scrubbing interval).
 
 use crate::params::ReliabilityParams;
-use crate::scrubbing;
 use crate::units::Hours;
 
 /// The paper's Cheetah drive MTTF for visible faults: `1.4e6` hours.
@@ -112,13 +111,6 @@ pub fn raid_like(mv_hours: f64, mrv_hours: f64) -> ReliabilityParams {
         .expect("raid-like preset is valid")
 }
 
-/// Builds a scrubbed variant of any parameter set given a number of scrub
-/// passes per year (MDL = half the scrub interval, §6.2).
-pub fn with_scrub_rate(base: &ReliabilityParams, scrubs_per_year: f64) -> ReliabilityParams {
-    let mdl = scrubbing::mdl_for_scrub_rate(scrubs_per_year);
-    base.with_detect_latent(mdl).expect("scrub rate produces a valid MDL")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,12 +141,6 @@ mod tests {
     fn correlated_preset_uses_chen_alpha() {
         assert_eq!(cheetah_mirror_scrubbed_correlated().alpha(), 0.1);
         assert_eq!(cheetah_mirror_negligent_latent().alpha(), 0.1);
-    }
-
-    #[test]
-    fn scrub_rate_helper_matches_paper_mdl() {
-        let p = with_scrub_rate(&cheetah_mirror_no_scrub(), 3.0);
-        assert!((p.detect_latent().get() - 1460.0).abs() < 1.0);
     }
 
     #[test]

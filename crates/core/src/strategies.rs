@@ -180,30 +180,6 @@ pub fn sensitivity_analysis(
     Ok(out)
 }
 
-/// The paper's bottom line (§8): the most important strategies are detecting
-/// latent faults quickly, automating repair, and increasing replica
-/// independence. This helper returns that subset for reporting.
-pub fn headline_strategies() -> [Strategy; 3] {
-    [
-        Strategy::ReduceDetectionTime,
-        Strategy::ReduceLatentRepairTime,
-        Strategy::IncreaseIndependence,
-    ]
-}
-
-/// Convenience: MTTDL (hours) after applying a sequence of strategies, each
-/// with its own factor, to a starting parameter set.
-pub fn apply_plan(
-    params: &ReliabilityParams,
-    plan: &[(Strategy, f64)],
-) -> Result<(ReliabilityParams, f64), ModelError> {
-    let mut current = *params;
-    for (strategy, factor) in plan {
-        current = strategy.apply(&current, *factor)?;
-    }
-    Ok((current, mttdl_exact(&current)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,28 +275,6 @@ mod tests {
         let ind = impacts.iter().find(|i| i.strategy == Strategy::IncreaseIndependence).unwrap();
         // alpha goes from 0.1 to 0.5, so MTTDL gains exactly 5x.
         assert!((ind.gain() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn headline_strategies_are_three_distinct_levers() {
-        let h = headline_strategies();
-        assert_eq!(h.len(), 3);
-        assert!(h.contains(&Strategy::ReduceDetectionTime));
-        assert!(h.contains(&Strategy::IncreaseIndependence));
-    }
-
-    #[test]
-    fn apply_plan_composes() {
-        let p = presets::cheetah_mirror_scrubbed_correlated();
-        let before = mttdl_exact(&p);
-        let (after_params, after) = apply_plan(
-            &p,
-            &[(Strategy::ReduceDetectionTime, 4.0), (Strategy::IncreaseIndependence, 10.0)],
-        )
-        .unwrap();
-        assert!(after > before);
-        assert_eq!(after_params.alpha(), 1.0);
-        assert!((after_params.detect_latent().get() - 365.0).abs() < 1.0);
     }
 
     #[test]

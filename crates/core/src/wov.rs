@@ -6,7 +6,6 @@
 //! within that window; correlation divides each probability's effective mean
 //! time by `α`.
 
-use crate::fault::{DoubleFault, FaultClass};
 use crate::memoryless::probability_within_linearised;
 use crate::params::ReliabilityParams;
 use serde::{Deserialize, Serialize};
@@ -71,23 +70,6 @@ impl DoubleFaultProbabilities {
     /// opened by a latent first fault.
     pub fn any_after_latent(&self) -> f64 {
         (self.visible_after_latent + self.latent_after_latent).min(1.0)
-    }
-
-    /// Looks up a single combination of Figure 2.
-    pub fn get(&self, combination: DoubleFault) -> f64 {
-        match (combination.first, combination.second) {
-            (FaultClass::Visible, FaultClass::Visible) => self.visible_after_visible,
-            (FaultClass::Visible, FaultClass::Latent) => self.latent_after_visible,
-            (FaultClass::Latent, FaultClass::Visible) => self.visible_after_latent,
-            (FaultClass::Latent, FaultClass::Latent) => self.latent_after_latent,
-        }
-    }
-
-    /// Whether the latent-first window is saturated (`P(V2 ∨ L2 | L1) ≈ 1`),
-    /// i.e. a single undetected latent fault almost certainly becomes a
-    /// double-fault data loss.
-    pub fn latent_window_saturated(&self, tolerance: f64) -> bool {
-        self.any_after_latent() >= 1.0 - tolerance
     }
 }
 
@@ -169,7 +151,6 @@ mod tests {
         // §5.4 scenario 1: without scrubbing, P(V2 ∨ L2 | L1) ≈ 1.
         let p = presets::cheetah_mirror_no_scrub();
         let probs = DoubleFaultProbabilities::from_params(&p);
-        assert!(probs.latent_window_saturated(1e-9));
         assert!((probs.any_after_latent() - 1.0).abs() < 1e-12);
         // The visible-first window stays tiny.
         assert!(probs.any_after_visible() < 1e-5);
@@ -184,16 +165,6 @@ mod tests {
         let ratio = probs.latent_after_latent / probs.visible_after_latent;
         assert!((ratio - 5.0).abs() < 1e-9, "ratio {ratio}");
         assert!((probs.latent_after_latent + probs.visible_after_latent - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn get_matches_fields() {
-        let p = presets::cheetah_mirror_scrubbed();
-        let probs = DoubleFaultProbabilities::from_params(&p);
-        assert_eq!(probs.get(DoubleFault::VISIBLE_THEN_VISIBLE), probs.visible_after_visible);
-        assert_eq!(probs.get(DoubleFault::VISIBLE_THEN_LATENT), probs.latent_after_visible);
-        assert_eq!(probs.get(DoubleFault::LATENT_THEN_VISIBLE), probs.visible_after_latent);
-        assert_eq!(probs.get(DoubleFault::LATENT_THEN_LATENT), probs.latent_after_latent);
     }
 
     #[test]

@@ -93,29 +93,6 @@ pub fn paper_implied_rates() -> (f64, f64) {
     (barracuda, cheetah)
 }
 
-/// Summary row for the §6.1 drive comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DriveComparisonRow {
-    /// Drive name.
-    pub name: String,
-    /// Fault probability over the 5-year service life.
-    pub service_life_fault_probability: f64,
-    /// Expected irrecoverable bit errors over the service life.
-    pub expected_bit_errors: f64,
-    /// Street price per decimal gigabyte.
-    pub price_per_gb: f64,
-}
-
-/// Builds the §6.1 comparison row for one drive under one workload.
-pub fn comparison_row(drive: &DriveSpec, workload: &ServiceLifeWorkload) -> DriveComparisonRow {
-    DriveComparisonRow {
-        name: drive.name.clone(),
-        service_life_fault_probability: drive.service_life_fault_prob(),
-        expected_bit_errors: expected_bit_errors(drive, workload),
-        price_per_gb: drive.price_per_gb(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,16 +145,6 @@ mod tests {
             ServiceLifeWorkload { years: 5.0, duty_cycle: 0.10, rate: RateAssumption::Sustained };
         let ratio = expected_bit_errors(&cheetah, &high) / expected_bit_errors(&cheetah, &low);
         assert!((ratio - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn comparison_row_is_consistent() {
-        let cheetah = cheetah_15k4();
-        let w = ServiceLifeWorkload::paper_99_percent_idle(RateAssumption::Sustained);
-        let row = comparison_row(&cheetah, &w);
-        assert_eq!(row.service_life_fault_probability, 0.03);
-        assert!((row.price_per_gb - 8.20).abs() < 1e-9);
-        assert!((row.expected_bit_errors - expected_bit_errors(&cheetah, &w)).abs() < 1e-12);
     }
 
     #[test]

@@ -50,51 +50,6 @@ pub fn cheetah_15k4() -> DriveSpec {
     }
 }
 
-/// An LTO-3 tape cartridge plus its share of a drive/library, modelled as a
-/// drive-equivalent for the §6.2 disk-vs-tape comparison.
-///
-/// Capacity and rate are LTO-3 native figures (400 GB, 80 MB/s). The media
-/// itself is cheap; the UBER is better than disk, but every access requires
-/// retrieval, mounting and human handling (see [`crate::media`]).
-pub fn lto3_tape() -> DriveSpec {
-    DriveSpec {
-        name: "LTO-3 tape cartridge (400 GB native)".to_string(),
-        class: DriveClass::Archival,
-        capacity_bytes: 400.0e9,
-        sustained_bytes_per_sec: 80.0e6,
-        interface_bytes_per_sec: 80.0e6,
-        mttf_hours: Some(2.0e6),
-        service_life_fault_probability: None,
-        service_life_years: 10.0,
-        uber: 1e-17,
-        price_usd: 45.0 + 90.0, // cartridge plus amortised share of the drive
-    }
-}
-
-/// A consumer CD-R, the paper's §3 example of media sold as lasting decades
-/// but often good for only two to five years.
-pub fn cdr() -> DriveSpec {
-    DriveSpec {
-        name: "Consumer CD-R (700 MB)".to_string(),
-        class: DriveClass::Archival,
-        capacity_bytes: 0.7e9,
-        sustained_bytes_per_sec: 7.8e6, // 52x reader
-        interface_bytes_per_sec: 7.8e6,
-        // "often only good for two to five years": model as ~50% fault
-        // probability over a 3-year life.
-        mttf_hours: None,
-        service_life_fault_probability: Some(0.5),
-        service_life_years: 3.0,
-        uber: 1e-12,
-        price_usd: 0.30,
-    }
-}
-
-/// Every catalogue entry, for enumeration in examples and tests.
-pub fn all() -> Vec<DriveSpec> {
-    vec![barracuda_st3200822a(), cheetah_15k4(), lto3_tape(), cdr()]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,7 +93,7 @@ mod tests {
 
     #[test]
     fn catalogue_is_well_formed() {
-        for d in all() {
+        for d in [barracuda_st3200822a(), cheetah_15k4()] {
             assert!(d.capacity_bytes > 0.0, "{}", d.name);
             assert!(d.sustained_bytes_per_sec > 0.0, "{}", d.name);
             assert!(d.uber > 0.0 && d.uber < 1e-6, "{}", d.name);
@@ -153,6 +108,5 @@ mod tests {
     fn classes_are_as_expected() {
         assert_eq!(barracuda_st3200822a().class, DriveClass::Consumer);
         assert_eq!(cheetah_15k4().class, DriveClass::Enterprise);
-        assert_eq!(lto3_tape().class, DriveClass::Archival);
     }
 }

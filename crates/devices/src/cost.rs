@@ -35,17 +35,6 @@ impl OperatingCosts {
         }
     }
 
-    /// Offline tape: negligible power, but vault storage fees and the same
-    /// administrative burden; media last longer before renewal.
-    pub fn offline_tape_defaults() -> Self {
-        Self {
-            power_per_drive_year: 0.0,
-            admin_per_drive_year: 40.0,
-            space_per_drive_year: 30.0,
-            renewal_interval_years: 10.0,
-        }
-    }
-
     /// Total recurring cost per drive per year, excluding renewal.
     pub fn recurring_per_drive_year(&self) -> f64 {
         self.power_per_drive_year + self.admin_per_drive_year + self.space_per_drive_year
@@ -96,15 +85,6 @@ impl CostPlan {
         };
         let hardware = purchases * self.acquisition_cost();
         hardware + recurring
-    }
-
-    /// Cost per terabyte of *logical* (single-copy) data per year over the
-    /// given horizon.
-    pub fn cost_per_tb_year(&self, years: f64) -> f64 {
-        assert!(years > 0.0, "horizon must be positive");
-        let tb = self.collection_bytes / 1e12;
-        assert!(tb > 0.0, "collection must be non-empty");
-        self.total_cost_of_ownership(years) / tb / years
     }
 }
 
@@ -164,19 +144,8 @@ mod tests {
     }
 
     #[test]
-    fn cost_per_tb_year_decreases_with_longer_amortisation_within_a_cycle() {
-        let p = plan(2, barracuda_st3200822a());
-        let one = p.cost_per_tb_year(1.0);
-        let four = p.cost_per_tb_year(4.0);
-        assert!(four < one, "hardware amortises over the renewal cycle: {four} vs {one}");
-    }
-
-    #[test]
     fn operating_defaults_are_sane() {
         let disk = OperatingCosts::online_disk_defaults();
-        let tape = OperatingCosts::offline_tape_defaults();
         assert!(disk.recurring_per_drive_year() > 0.0);
-        assert!(tape.power_per_drive_year < disk.power_per_drive_year);
-        assert!(tape.renewal_interval_years > disk.renewal_interval_years);
     }
 }

@@ -12,8 +12,6 @@ pub enum DriveClass {
     /// Vastly more expensive, much faster, only a little more reliable
     /// (e.g. SCSI/FC/SAS drives).
     Enterprise,
-    /// Removable/archival media packaged as a drive-equivalent (tape, optical).
-    Archival,
 }
 
 /// A storage device specification, sufficient to derive the model parameters
@@ -50,11 +48,6 @@ impl DriveSpec {
         self.price_usd / (self.capacity_bytes / 1e9)
     }
 
-    /// Capacity in decimal gigabytes.
-    pub fn capacity_gb(&self) -> f64 {
-        self.capacity_bytes / 1e9
-    }
-
     /// The visible-fault MTTF to use in the reliability model.
     ///
     /// Prefers the datasheet MTTF; otherwise derives one from the quoted
@@ -85,25 +78,6 @@ impl DriveSpec {
         let life_hours = self.service_life_years * HOURS_PER_YEAR;
         ltds_core::memoryless::probability_within(life_hours, self.mttf_visible().get())
     }
-
-    /// Time to read or rewrite the whole drive at its sustained rate — the
-    /// minimum repair time after a whole-drive (visible) fault, and also the
-    /// duration of one full scrub pass.
-    pub fn full_transfer_time(&self) -> Hours {
-        Hours::from_seconds(self.capacity_bytes / self.sustained_bytes_per_sec)
-    }
-
-    /// Bytes the drive can transfer in the given number of hours at its
-    /// sustained rate.
-    pub fn bytes_transferred(&self, hours: f64) -> f64 {
-        assert!(hours >= 0.0, "duration must be non-negative");
-        self.sustained_bytes_per_sec * hours * 3600.0
-    }
-
-    /// Sustained rate in MB/s (decimal), for reporting.
-    pub fn sustained_mb_per_sec(&self) -> f64 {
-        self.sustained_bytes_per_sec / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +103,6 @@ mod tests {
     fn price_per_gb() {
         let d = sample_drive();
         assert!((d.price_per_gb() - 0.57).abs() < 1e-9);
-        assert!((d.capacity_gb() - 200.0).abs() < 1e-9);
     }
 
     #[test]
@@ -163,20 +136,5 @@ mod tests {
         d.mttf_hours = None;
         d.service_life_fault_probability = None;
         assert_eq!(d.mttf_visible().get(), 1.0e5);
-    }
-
-    #[test]
-    fn full_transfer_time() {
-        let d = sample_drive();
-        // 200 GB at 50 MB/s = 4000 seconds.
-        assert!((d.full_transfer_time().get() - 4000.0 / 3600.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn bytes_transferred_scales_with_time() {
-        let d = sample_drive();
-        assert_eq!(d.bytes_transferred(0.0), 0.0);
-        assert!((d.bytes_transferred(2.0) - 2.0 * 3600.0 * 50.0e6).abs() < 1.0);
-        assert!((d.sustained_mb_per_sec() - 50.0).abs() < 1e-9);
     }
 }

@@ -13,15 +13,12 @@
 //! * [`drive`] / [`catalog`] — drive specifications, including the two
 //!   drives the paper quotes (Barracuda ST3200822A, Cheetah 15K.4);
 //! * [`bit_errors`] — expected irrecoverable bit errors over a service life;
-//! * [`afr`] — conversions between MTTF, annualised failure rate and
-//!   service-life fault probability;
 //! * [`media`] — online vs offline media access/handling models;
 //! * [`cost`] — acquisition and total-cost-of-ownership model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod afr;
 pub mod bit_errors;
 pub mod catalog;
 pub mod cost;

@@ -17,8 +17,6 @@ pub enum MediaKind {
     OnlineDisk,
     /// Requires retrieval and mounting: tape or optical media in a vault.
     OfflineVault,
-    /// Nearline: in a robot library — mount required, but no human handling.
-    NearlineLibrary,
 }
 
 /// Parameters describing what it takes to access (and therefore audit or
@@ -63,26 +61,6 @@ impl MediaAccessModel {
         }
     }
 
-    /// Tape in an on-site robot library: minutes to mount, negligible
-    /// handling risk, small wear cost.
-    pub fn tape_library() -> Self {
-        Self {
-            kind: MediaKind::NearlineLibrary,
-            access_latency: Hours::from_minutes(5.0),
-            return_latency: Hours::from_minutes(2.0),
-            handling_fault_probability: 2.0e-4,
-            access_cost_usd: 0.25,
-        }
-    }
-
-    /// Validates the model's probability field.
-    pub fn is_valid(&self) -> bool {
-        (0.0..=1.0).contains(&self.handling_fault_probability)
-            && self.access_latency.is_valid()
-            && self.return_latency.is_valid()
-            && self.access_cost_usd >= 0.0
-    }
-
     /// Total wall-clock overhead added to one audit or repair operation.
     pub fn round_trip_overhead(&self) -> Hours {
         self.access_latency + self.return_latency
@@ -119,17 +97,6 @@ impl MediaAccessModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn presets_are_valid() {
-        for m in [
-            MediaAccessModel::online_disk(),
-            MediaAccessModel::offsite_tape_vault(),
-            MediaAccessModel::tape_library(),
-        ] {
-            assert!(m.is_valid());
-        }
-    }
 
     #[test]
     fn online_disk_has_no_overhead() {
@@ -172,22 +139,5 @@ mod tests {
         let tape = MediaAccessModel::offsite_tape_vault();
         assert_eq!(tape.annual_audit_cost(0.0), 0.0);
         assert!((tape.annual_audit_cost(12.0) - 600.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn library_sits_between_disk_and_vault() {
-        let disk = MediaAccessModel::online_disk();
-        let library = MediaAccessModel::tape_library();
-        let vault = MediaAccessModel::offsite_tape_vault();
-        assert!(library.round_trip_overhead() > disk.round_trip_overhead());
-        assert!(library.round_trip_overhead() < vault.round_trip_overhead());
-        assert!(library.handling_fault_probability < vault.handling_fault_probability);
-    }
-
-    #[test]
-    fn invalid_probability_detected() {
-        let mut m = MediaAccessModel::online_disk();
-        m.handling_fault_probability = 1.5;
-        assert!(!m.is_valid());
     }
 }

@@ -79,16 +79,6 @@ impl FleetTopology {
         drive / self.drives_per_site()
     }
 
-    /// Global rack index containing a drive.
-    pub fn rack_of(&self, drive: usize) -> usize {
-        drive / self.drives_per_rack()
-    }
-
-    /// Global node index containing a drive.
-    pub fn node_of(&self, drive: usize) -> usize {
-        drive / self.drives_per_node
-    }
-
     /// Range of drive indices belonging to a site.
     pub fn site_drives(&self, site: usize) -> std::ops::Range<usize> {
         let n = self.drives_per_site();
@@ -158,15 +148,28 @@ mod tests {
     fn domain_arithmetic_is_consistent() {
         let t = topo();
         for drive in 0..t.total_drives() {
-            let site = t.site_of(drive);
-            assert!(t.site_drives(site).contains(&drive));
-            let rack = t.rack_of(drive);
-            assert!(t.rack_drives(rack).contains(&drive));
-            let node = t.node_of(drive);
-            assert!(t.node_drives(node).contains(&drive));
-            assert_eq!(rack / t.racks_per_site, site);
-            assert_eq!(node / (t.racks_per_site * t.nodes_per_rack), site);
+            assert!(t.site_drives(t.site_of(drive)).contains(&drive));
         }
+        // Racks and nodes tile the drives in index order, each inside its
+        // site, so every drive lies in exactly one rack and one node.
+        let mut next = 0;
+        for rack in 0..t.total_racks() {
+            let site = t.site_drives(rack / t.racks_per_site);
+            let drives = t.rack_drives(rack);
+            assert_eq!(drives.start, next, "rack {rack}");
+            assert!(site.start <= drives.start && drives.end <= site.end, "rack {rack}");
+            next = drives.end;
+        }
+        assert_eq!(next, t.total_drives());
+        let mut next = 0;
+        for node in 0..t.total_nodes() {
+            let site = t.site_drives(node / (t.racks_per_site * t.nodes_per_rack));
+            let drives = t.node_drives(node);
+            assert_eq!(drives.start, next, "node {node}");
+            assert!(site.start <= drives.start && drives.end <= site.end, "node {node}");
+            next = drives.end;
+        }
+        assert_eq!(next, t.total_drives());
     }
 
     #[test]

@@ -75,8 +75,6 @@ impl DiversityDimension {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiversityProfile {
     scores: BTreeMap<DiversityDimension, f64>,
-    /// The `α` assigned to a deployment with zero diversity everywhere.
-    alpha_floor: f64,
 }
 
 impl DiversityProfile {
@@ -87,13 +85,7 @@ impl DiversityProfile {
     /// Creates a profile with all dimensions scored 0 (worst case).
     pub fn all_shared() -> Self {
         let scores = DiversityDimension::ALL.iter().map(|&d| (d, 0.0)).collect();
-        Self { scores, alpha_floor: Self::DEFAULT_ALPHA_FLOOR }
-    }
-
-    /// Creates a profile with all dimensions scored 1 (fully diverse).
-    pub fn fully_diverse() -> Self {
-        let scores = DiversityDimension::ALL.iter().map(|&d| (d, 1.0)).collect();
-        Self { scores, alpha_floor: Self::DEFAULT_ALPHA_FLOOR }
+        Self { scores }
     }
 
     /// The British Library-style deployment of §6.5: every replica in a
@@ -136,15 +128,6 @@ impl DiversityProfile {
         self.scores.get(&dimension).copied().unwrap_or(0.0)
     }
 
-    /// Overrides the zero-diversity `α` floor.
-    pub fn with_alpha_floor(mut self, floor: f64) -> Result<Self, ModelError> {
-        if !(floor > 0.0 && floor <= 1.0) {
-            return Err(ModelError::InvalidCorrelation { alpha: floor });
-        }
-        self.alpha_floor = floor;
-        Ok(self)
-    }
-
     /// Weighted independence score in `[0, 1]`.
     pub fn independence_score(&self) -> f64 {
         let mut total_weight = 0.0;
@@ -159,7 +142,7 @@ impl DiversityProfile {
 
     /// The correlation factor implied by the profile.
     pub fn alpha(&self) -> f64 {
-        alpha_from_independence_score(self.independence_score(), self.alpha_floor)
+        alpha_from_independence_score(self.independence_score(), Self::DEFAULT_ALPHA_FLOOR)
             .expect("scores and floor are validated on entry")
     }
 
@@ -196,7 +179,10 @@ mod tests {
     #[test]
     fn extreme_profiles_map_to_extreme_alphas() {
         let shared = DiversityProfile::all_shared();
-        let diverse = DiversityProfile::fully_diverse();
+        let mut diverse = DiversityProfile::all_shared();
+        for d in DiversityDimension::ALL {
+            diverse.set(d, 1.0).unwrap();
+        }
         assert_eq!(shared.independence_score(), 0.0);
         assert_eq!(diverse.independence_score(), 1.0);
         assert!((shared.alpha() - DiversityProfile::DEFAULT_ALPHA_FLOOR).abs() < 1e-12);
@@ -227,15 +213,6 @@ mod tests {
         let mut p = DiversityProfile::all_shared();
         assert!(p.set(DiversityDimension::Hardware, -0.1).is_err());
         assert!(p.set(DiversityDimension::Hardware, 1.5).is_err());
-        assert!(DiversityProfile::all_shared().with_alpha_floor(0.0).is_err());
-        assert!(DiversityProfile::all_shared().with_alpha_floor(2.0).is_err());
-        assert!(DiversityProfile::all_shared().with_alpha_floor(1e-6).is_ok());
-    }
-
-    #[test]
-    fn custom_floor_is_respected() {
-        let p = DiversityProfile::all_shared().with_alpha_floor(1e-3).unwrap();
-        assert!((p.alpha() - 1e-3).abs() < 1e-12);
     }
 
     #[test]
@@ -254,7 +231,10 @@ mod tests {
 
     #[test]
     fn unset_dimension_defaults_to_zero() {
-        let p = DiversityProfile::fully_diverse();
+        let mut p = DiversityProfile::all_shared();
+        for d in DiversityDimension::ALL {
+            p.set(d, 1.0).unwrap();
+        }
         assert_eq!(p.get(DiversityDimension::Software), 1.0);
         let q = DiversityProfile::all_shared();
         assert_eq!(q.get(DiversityDimension::Software), 0.0);

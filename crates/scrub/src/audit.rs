@@ -56,21 +56,6 @@ impl ChecksumAuditor {
         self.expected.insert(object_id.into(), digest(content));
     }
 
-    /// Removes an object from the audit set (e.g. legitimately deleted).
-    pub fn deregister(&mut self, object_id: &str) -> bool {
-        self.expected.remove(object_id).is_some()
-    }
-
-    /// Number of registered objects.
-    pub fn len(&self) -> usize {
-        self.expected.len()
-    }
-
-    /// Whether no objects are registered.
-    pub fn is_empty(&self) -> bool {
-        self.expected.is_empty()
-    }
-
     /// The recorded digest for an object, if registered.
     pub fn expected_digest(&self, object_id: &str) -> Option<Digest> {
         self.expected.get(object_id).copied()
@@ -95,26 +80,6 @@ impl ChecksumAuditor {
                 }
             }
         }
-    }
-
-    /// Audits an entire replica: `fetch` returns the replica's content for
-    /// each registered object id. Returns the ids that need repair together
-    /// with their outcomes.
-    pub fn audit_replica<F>(&self, mut fetch: F) -> Vec<(&str, AuditOutcome)>
-    where
-        F: FnMut(&str) -> Option<Vec<u8>>,
-    {
-        self.expected
-            .keys()
-            .filter_map(|id| {
-                let outcome = self.audit(id, fetch(id).as_deref());
-                if outcome.needs_repair() {
-                    Some((id.as_str(), outcome))
-                } else {
-                    None
-                }
-            })
-            .collect()
     }
 }
 
@@ -142,8 +107,6 @@ mod tests {
     fn audit_outcomes() {
         let mut auditor = ChecksumAuditor::new();
         auditor.register("obj-1", b"the quick brown fox");
-        assert_eq!(auditor.len(), 1);
-        assert!(!auditor.is_empty());
         assert_eq!(auditor.audit("obj-1", Some(b"the quick brown fox")), AuditOutcome::Clean);
         assert_eq!(auditor.audit("obj-1", Some(b"the quick brown fix")), AuditOutcome::Corrupt);
         assert_eq!(auditor.audit("obj-1", None), AuditOutcome::Missing);
@@ -154,15 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn deregister_removes_objects() {
-        let mut auditor = ChecksumAuditor::new();
-        auditor.register("a", b"1");
-        assert!(auditor.deregister("a"));
-        assert!(!auditor.deregister("a"));
-        assert!(auditor.is_empty());
-    }
-
-    #[test]
     fn reregistering_updates_the_digest() {
         let mut auditor = ChecksumAuditor::new();
         auditor.register("a", b"version 1");
@@ -170,21 +124,5 @@ mod tests {
         assert_eq!(auditor.audit("a", Some(b"version 2")), AuditOutcome::Clean);
         assert_eq!(auditor.audit("a", Some(b"version 1")), AuditOutcome::Corrupt);
         assert_eq!(auditor.expected_digest("a"), Some(digest(b"version 2")));
-    }
-
-    #[test]
-    fn audit_replica_reports_only_problems() {
-        let mut auditor = ChecksumAuditor::new();
-        auditor.register("good", b"good bytes");
-        auditor.register("rotten", b"original");
-        auditor.register("gone", b"was here");
-        let problems = auditor.audit_replica(|id| match id {
-            "good" => Some(b"good bytes".to_vec()),
-            "rotten" => Some(b"corrupted".to_vec()),
-            _ => None,
-        });
-        assert_eq!(problems.len(), 2);
-        assert!(problems.contains(&("rotten", AuditOutcome::Corrupt)));
-        assert!(problems.contains(&("gone", AuditOutcome::Missing)));
     }
 }

@@ -16,11 +16,9 @@
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod planning;
 pub mod strategy;
 pub mod voting;
 
 pub use audit::{AuditOutcome, ChecksumAuditor};
-pub use planning::{AuditPlan, AuditPlanSummary, AuditScope};
 pub use strategy::{ScrubPolicy, ScrubStrategy};
 pub use voting::{VoteOutcome, VotingAuditor};

@@ -108,19 +108,6 @@ impl ScrubStrategy {
         }
     }
 
-    /// Bytes read per year in service of auditing.
-    pub fn audit_bytes_per_year(&self) -> f64 {
-        match self.policy {
-            ScrubPolicy::OnAccessOnly { .. } => 0.0,
-            _ => self.passes_per_year() * self.capacity_bytes,
-        }
-    }
-
-    /// Wall-clock duration of one complete scrub pass at full bandwidth.
-    pub fn pass_duration(&self) -> Hours {
-        Hours::from_seconds(self.capacity_bytes / self.read_bytes_per_sec)
-    }
-
     /// Applies this strategy's detection latency to a core-model parameter
     /// set, returning the updated parameters.
     pub fn apply_to(
@@ -182,7 +169,6 @@ mod tests {
         assert_eq!(s.passes_per_year(), 0.0);
         assert!((s.mean_detection_latency().as_years() - 10.0).abs() < 1e-9);
         assert_eq!(s.bandwidth_fraction(), 0.0);
-        assert_eq!(s.audit_bytes_per_year(), 0.0);
     }
 
     #[test]
@@ -190,7 +176,6 @@ mod tests {
         let s = strategy(ScrubPolicy::Opportunistic { effective_passes_per_year: 6.0 });
         assert!((s.mean_detection_latency().get() - 730.0).abs() < 1.0);
         assert_eq!(s.bandwidth_fraction(), 0.0);
-        assert!(s.audit_bytes_per_year() > 0.0);
     }
 
     #[test]
@@ -201,13 +186,6 @@ mod tests {
         assert!((rate - 207.0).abs() < 5.0, "rate {rate}");
         assert!((s.bandwidth_fraction() - 0.01).abs() < 1e-12);
         assert!(s.mean_detection_latency().get() < 25.0);
-    }
-
-    #[test]
-    fn pass_duration_is_capacity_over_bandwidth() {
-        let s = strategy(ScrubPolicy::Periodic { passes_per_year: 3.0 });
-        let expected = 146.0e9 / 96.0e6 / 3600.0;
-        assert!((s.pass_duration().get() - expected).abs() < 1e-9);
     }
 
     #[test]

@@ -33,21 +33,6 @@ pub enum VoteOutcome {
     NoQuorum,
 }
 
-impl VoteOutcome {
-    /// Whether the vote identified a safe repair source.
-    pub fn is_decisive(&self) -> bool {
-        !matches!(self, VoteOutcome::NoQuorum)
-    }
-
-    /// Replica indices that need repair, if the vote was decisive.
-    pub fn replicas_to_repair(&self) -> &[usize] {
-        match self {
-            VoteOutcome::Majority { losers, .. } => losers,
-            _ => &[],
-        }
-    }
-}
-
 /// A voting auditor: compares the same object across replicas.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VotingAuditor;
@@ -88,12 +73,6 @@ impl VotingAuditor {
         let losers: Vec<usize> = (0..total).filter(|i| !voters.contains(i)).collect();
         VoteOutcome::Majority { digest: Digest(winning), losers }
     }
-
-    /// Number of replica reads a vote over `replicas` replicas costs,
-    /// compared with 1 for a checksum audit — the bandwidth trade-off of §6.6.
-    pub fn reads_per_audit(&self, replicas: usize) -> usize {
-        replicas
-    }
 }
 
 #[cfg(test)]
@@ -109,8 +88,6 @@ mod tests {
         let v = VotingAuditor::new();
         let out = v.vote(&[some(b"data"), some(b"data"), some(b"data")]);
         assert!(matches!(out, VoteOutcome::Unanimous { .. }));
-        assert!(out.is_decisive());
-        assert!(out.replicas_to_repair().is_empty());
     }
 
     #[test]
@@ -124,14 +101,13 @@ mod tests {
             }
             other => panic!("expected majority, got {other:?}"),
         }
-        assert_eq!(out.replicas_to_repair(), &[1]);
     }
 
     #[test]
     fn missing_copy_counts_as_loser() {
         let v = VotingAuditor::new();
         let out = v.vote(&[some(b"data"), None, some(b"data")]);
-        assert_eq!(out.replicas_to_repair(), &[1]);
+        assert!(matches!(out, VoteOutcome::Majority { ref losers, .. } if losers == &[1]));
     }
 
     #[test]
@@ -139,7 +115,6 @@ mod tests {
         let v = VotingAuditor::new();
         let out = v.vote(&[some(b"aaa"), some(b"bbb")]);
         assert_eq!(out, VoteOutcome::NoQuorum);
-        assert!(!out.is_decisive());
     }
 
     #[test]
@@ -162,14 +137,7 @@ mod tests {
         let v = VotingAuditor::new();
         let out =
             v.vote(&[some(b"good"), some(b"bad1"), some(b"good"), some(b"bad2"), some(b"good")]);
-        assert_eq!(out.replicas_to_repair(), &[1, 3]);
-    }
-
-    #[test]
-    fn reads_per_audit_scales_with_replicas() {
-        let v = VotingAuditor::new();
-        assert_eq!(v.reads_per_audit(3), 3);
-        assert_eq!(v.reads_per_audit(7), 7);
+        assert!(matches!(out, VoteOutcome::Majority { ref losers, .. } if losers == &[1, 3]));
     }
 
     #[test]

@@ -40,10 +40,10 @@
 //!   stops producing heartbeats, and the existing deadline-based lease
 //!   eviction fires after [`ServiceConfig::lease_ticks`] polls.
 //! * **Slow subscribers** — per-connection outbound buffers are bounded;
-//!   a subscriber that falls more than [`TcpServerConfig::subscriber_buffer`]
-//!   bytes behind is deterministically disconnected (the server retains
-//!   every tenant's full stream, so the client reconnects with its cursor
-//!   and loses nothing).
+//!   a subscriber that falls more than `SUBSCRIBER_BUFFER` (4 MiB) behind
+//!   is deterministically disconnected (the server retains every tenant's
+//!   full stream, so the client reconnects with its cursor and loses
+//!   nothing).
 //! * **Orderly exit** — the server sends `Shutdown` to every worker, then
 //!   half-closes each socket and drains it until the peer hangs up, so no
 //!   unread heartbeat turns the close into a reset that destroys the
@@ -280,10 +280,11 @@ pub struct TcpServerConfig {
     pub tenants: Option<u64>,
     /// Per-tenant service tuning.
     pub service: ServiceConfig,
-    /// Outbound bytes a subscriber may fall behind before it is
-    /// deterministically disconnected.
-    pub subscriber_buffer: usize,
 }
+
+/// Outbound bytes a subscriber may fall behind before it is
+/// deterministically disconnected.
+const SUBSCRIBER_BUFFER: usize = 4 << 20;
 
 impl Default for TcpServerConfig {
     fn default() -> Self {
@@ -294,7 +295,6 @@ impl Default for TcpServerConfig {
             idle_polls: 100_000,
             tenants: Some(1),
             service: ServiceConfig::default(),
-            subscriber_buffer: 4 << 20,
         }
     }
 }
@@ -688,7 +688,7 @@ where
             let Some(t) = tenants.get(tenant) else { continue };
             let mut queued: Vec<String> = Vec::new();
             let mut queued_bytes = conn.outbuf.len();
-            while *cursor < t.sink.lines.len() && queued_bytes < config.subscriber_buffer {
+            while *cursor < t.sink.lines.len() && queued_bytes < SUBSCRIBER_BUFFER {
                 let delta =
                     NetDelta::Record { seq: *cursor as u64, line: t.sink.lines[*cursor].clone() };
                 let line = serde_json::to_string(&delta).expect("delta serializes");
@@ -725,7 +725,7 @@ where
             if !conn.dead
                 && matches!(conn.peer, Peer::Subscriber { .. })
                 && conn.outbuf.len() == before
-                && before >= config.subscriber_buffer
+                && before >= SUBSCRIBER_BUFFER
             {
                 summary.slow_subscribers_dropped += 1;
                 conn.dead = true;

@@ -35,7 +35,6 @@
 use crate::config::{RareEventStrategy, SimConfig};
 use crate::trial::{Races, TrialOutcome, TrialRunner, TrialScratch};
 use ltds_stochastic::{BiasedFaultRace, SimRng};
-use ltds_telemetry::NoTelemetry;
 
 /// A trial outcome together with its likelihood-ratio (or splitting)
 /// weight. Vanilla trials have weight exactly 1.
@@ -135,12 +134,7 @@ impl RareRunner {
     ) {
         match self.plan {
             Plan::Importance(races) => {
-                let outcome = self.runner.run_measured(
-                    &races,
-                    &mut root_rng.clone(),
-                    scratch,
-                    &mut NoTelemetry,
-                );
+                let outcome = self.runner.run_measured(&races, &mut root_rng.clone(), scratch);
                 leaf(WeightedOutcome { outcome, weight: scratch.llr().exp() });
             }
             Plan::Splitting { levels, offspring } => {
@@ -168,7 +162,7 @@ impl RareRunner {
         while let Some((mut path, mut rng, level, weight)) = stack.pop() {
             let split_at =
                 if level < levels { loss_threshold - levels + level } else { usize::MAX };
-            match self.runner.advance(races, &mut rng, &mut path, split_at, &mut NoTelemetry) {
+            match self.runner.advance(races, &mut rng, &mut path, split_at) {
                 Some(outcome) => leaf(WeightedOutcome { outcome, weight }),
                 None => {
                     let weight = weight / f64::from(offspring);

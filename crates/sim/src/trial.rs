@@ -12,7 +12,6 @@
 use crate::config::{DetectionModel, SimConfig};
 use ltds_core::fault::FaultClass;
 use ltds_stochastic::{BiasedFaultRace, FaultRace, SimRng};
-use ltds_telemetry::{NoTelemetry, Probe, ProbeEvent};
 use serde::{Deserialize, Serialize};
 
 /// The result of one trial.
@@ -92,11 +91,11 @@ impl TrialScratch {
     }
 }
 
-/// The measure a trial draws its fault races under, statically dispatched
-/// like [`Probe`]: [`FaultRace`] draws at the nominal rates and leaves the
-/// log-likelihood ratio untouched, so the nominal loop carries no weight
-/// arithmetic; [`BiasedFaultRace`] draws at tilted rates and adds each
-/// draw's increment (importance sampling, `crate::rare`).
+/// The measure a trial draws its fault races under, statically dispatched:
+/// [`FaultRace`] draws at the nominal rates and leaves the log-likelihood
+/// ratio untouched, so the nominal loop carries no weight arithmetic;
+/// [`BiasedFaultRace`] draws at tilted rates and adds each draw's increment
+/// (importance sampling, `crate::rare`).
 pub(crate) trait Race: Copy {
     /// Draws one replica's next fault `(delay, class)`, adding the draw's
     /// log-likelihood-ratio increment to `llr`.
@@ -258,39 +257,20 @@ impl TrialRunner {
     /// Runs a single trial with the given random stream, reusing `scratch`
     /// so the per-trial path performs no allocations.
     pub fn run_with(&self, rng: &mut SimRng, scratch: &mut TrialScratch) -> TrialOutcome {
-        self.run_probed(rng, scratch, &mut NoTelemetry)
-    }
-
-    /// Runs a single trial while emitting telemetry through `probe`.
-    ///
-    /// The probe is statically dispatched and behaviour-free: it consumes no
-    /// randomness, so for any seed the outcome is identical to
-    /// [`TrialRunner::run_with`], and with [`NoTelemetry`] every probe site
-    /// compiles out. A trial models one replica group, so events carry the
-    /// replica index as the slot and data loss is reported as group `0`.
-    /// Trials have no repair pipeline; probes emit faults, repair
-    /// completions and the final loss, but no `RepairStart` events.
-    pub fn run_probed<P: Probe>(
-        &self,
-        rng: &mut SimRng,
-        scratch: &mut TrialScratch,
-        probe: &mut P,
-    ) -> TrialOutcome {
-        self.run_measured(&self.races, rng, scratch, probe)
+        self.run_measured(&self.races, rng, scratch)
     }
 
     /// Runs a single trial under the measure `races`, leaving its summed
     /// log-likelihood ratio in `scratch` ([`TrialScratch::llr`]).
     #[inline]
-    pub(crate) fn run_measured<R: Race, P: Probe>(
+    pub(crate) fn run_measured<R: Race>(
         &self,
         races: &Races<R>,
         rng: &mut SimRng,
         scratch: &mut TrialScratch,
-        probe: &mut P,
     ) -> TrialOutcome {
         self.start(races, rng, scratch);
-        self.advance(races, rng, scratch, usize::MAX, probe)
+        self.advance(races, rng, scratch, usize::MAX)
             .expect("a path without a split threshold never splits")
     }
 
@@ -335,13 +315,12 @@ impl TrialRunner {
     // Inlined into each caller: as a call, its prologue and the state it
     // passes cost short, mostly censored trials 10–15 % of their time.
     #[inline(always)]
-    pub(crate) fn advance<R: Race, P: Probe>(
+    pub(crate) fn advance<R: Race>(
         &self,
         races: &Races<R>,
         rng: &mut SimRng,
         path: &mut TrialScratch,
         split_at: usize,
-        probe: &mut P,
     ) -> Option<TrialOutcome> {
         let loss_threshold = self.config.loss_threshold();
         let stop_at = split_at.min(loss_threshold);
@@ -364,12 +343,6 @@ impl TrialRunner {
                 break (Some(outcome), now);
             }
             let faulty_before = faulty_count;
-            if P::ENABLED {
-                // Occupancy for a trial is the number of replicas with a
-                // finite pending event (latent faults under
-                // `DetectionModel::Never` park at infinity).
-                probe.tick(now, slots.iter().filter(|s| s.time.is_finite()).count());
-            }
 
             let slot = &mut slots[best];
             if !slot.faulty {
@@ -378,17 +351,6 @@ impl TrialRunner {
                 slot.time = self.repair_completion(now, fault_class, &mut stream);
                 faulty_count += 1;
                 faults += 1;
-                if P::ENABLED {
-                    probe.record(
-                        now,
-                        best as u32,
-                        ProbeEvent::Fault {
-                            class: fault_class,
-                            from_burst: false,
-                            faulty: faulty_count as u16,
-                        },
-                    );
-                }
                 // One comparison covers both stops on the hot path: the
                 // count climbs by one, so reaching `stop_at` is reaching
                 // the split threshold or the loss threshold, whichever is
@@ -396,9 +358,6 @@ impl TrialRunner {
                 if faulty_count >= stop_at {
                     if faulty_count < loss_threshold {
                         break (None, now);
-                    }
-                    if P::ENABLED {
-                        probe.loss(now, 0, now, fault_class);
                     }
                     let outcome = TrialOutcome {
                         loss_time_hours: Some(now),
@@ -420,19 +379,6 @@ impl TrialRunner {
                 slot.faulty = false;
                 faulty_count -= 1;
                 repairs += 1;
-                if P::ENABLED {
-                    // The slot still holds the repaired fault's class; the
-                    // resample below reassigns it.
-                    probe.record(
-                        now,
-                        best as u32,
-                        ProbeEvent::RepairDone {
-                            class: slot.class,
-                            site: 0,
-                            faulty: faulty_count as u16,
-                        },
-                    );
-                }
                 // Sample the repaired replica's next fault, and if the system
                 // just became fault-free, de-accelerate the others.
                 let (d, c) = races.draw(&mut stream, faulty_count > 0, &mut llr);
@@ -481,41 +427,6 @@ mod tests {
             let a = runner.run(&mut SimRng::seed_from(seed));
             let b = runner.run_with(&mut SimRng::seed_from(seed), &mut scratch);
             assert_eq!(a, b, "seed {seed}: scratch reuse changed the outcome");
-        }
-    }
-
-    #[test]
-    fn probed_trial_matches_unprobed_and_reconciles_counters() {
-        use ltds_telemetry::{ShardParams, ShardTelemetry, TelemetryConfig};
-        // A capped horizon: `finish` pads the monthly samples out to it,
-        // which at the default million-year cap is 12 million per trial.
-        let config = fast_config(Some(100.0), 0.5).with_max_hours(50_000.0);
-        let runner = TrialRunner::new(config);
-        let params = ShardParams {
-            shard: 0,
-            shards: 1,
-            groups: 1,
-            replicas: config.replicas,
-            sites: 1,
-            horizon_hours: config.max_hours,
-            scrub: None,
-        };
-        let mut scratch = TrialScratch::new();
-        for seed in 0..20 {
-            let plain = runner.run_with(&mut SimRng::seed_from(seed), &mut scratch);
-            let mut sink = ShardTelemetry::new(params, TelemetryConfig::default());
-            let probed = runner.run_probed(&mut SimRng::seed_from(seed), &mut scratch, &mut sink);
-            assert_eq!(plain, probed, "seed {seed}: the probe consumed randomness");
-            let trace = sink.finish();
-            assert_eq!(trace.summary.faults, plain.faults);
-            assert_eq!(trace.summary.repairs, plain.repairs);
-            assert_eq!(trace.summary.losses, u64::from(plain.lost_data()));
-            if plain.lost_data() {
-                let post = &trace.losses[0];
-                assert_eq!(post.group, 0);
-                assert_eq!(post.t, plain.loss_time_hours.unwrap());
-                assert!(!post.events.is_empty(), "the ring should hold the fatal event");
-            }
         }
     }
 

@@ -3,8 +3,8 @@
 //! The paper's central question is *why* archives lose data — which causal
 //! chains (latent fault → missed detection → slow repair → correlated
 //! second fault) actually kill a replica group — and aggregate counters
-//! cannot answer it. This crate is the instrumentation layer the kernel,
-//! trial runner and campaign driver thread their probes through:
+//! cannot answer it. This crate is the instrumentation layer the fleet
+//! kernel and campaign driver thread their probes through:
 //!
 //! * **Metrics** — a per-shard time series ([`MetricSample`]) sampled at a
 //!   configurable sim-time cadence: event-queue occupancy, undetected
@@ -411,8 +411,8 @@ impl ShardTelemetry {
     /// its length is a function of the config, not of when the last event
     /// happened) and returns the shard's trace.
     pub fn finish(mut self) -> ShardTrace {
-        // An unbounded horizon (e.g. an uncapped Monte-Carlo trial) cannot
-        // be padded; the series then ends at the last event-driven sample.
+        // An unbounded horizon cannot be padded; the series then ends at
+        // the last event-driven sample.
         while self.params.horizon_hours.is_finite() && self.next_sample <= self.params.horizon_hours
         {
             let at = self.next_sample;
@@ -468,19 +468,15 @@ impl Probe for ShardTelemetry {
                 self.site_window[site as usize] += transfer_hours;
                 self.in_flight += 1;
             }
-            ProbeEvent::RepairDone { class, .. } => {
+            ProbeEvent::RepairDone { .. } => {
                 self.summary.repairs += 1;
                 self.group_faulty[group] -= 1;
                 if self.group_faulty[group] == 0 {
                     self.degraded -= 1;
                 }
-                if class == FaultClass::Latent && self.slot_latent[s] {
-                    // Sources without a repair pipeline (the Monte-Carlo
-                    // trial runner) never emit `RepairStart`; the completion
-                    // is then also the detection.
-                    self.slot_latent[s] = false;
-                    self.latent_open -= 1;
-                }
+                // Every repair starts with a `RepairStart`, which closes its
+                // latent fault, so none is still open when it completes.
+                debug_assert!(!self.slot_latent[s], "a repair completed on an open latent fault");
                 let site = self.slot_site[s];
                 if site != NO_SITE {
                     self.site_queue[site as usize] -= 1;
