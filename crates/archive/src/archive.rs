@@ -4,11 +4,10 @@ use crate::node::ArchiveNode;
 use ltds_core::units::Hours;
 use ltds_scrub::audit::{AuditOutcome, ChecksumAuditor};
 use ltds_scrub::voting::{VoteOutcome, VotingAuditor};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How the archive repairs a replica found damaged during a scrub.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairMode {
     /// Copy from any peer whose content matches the registered checksum
     /// (requires the ingest-time digest store to survive).
@@ -21,7 +20,7 @@ pub enum RepairMode {
 }
 
 /// Static configuration of an archive deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArchiveConfig {
     /// Names of the replica nodes (one node per name).
     pub node_names: Vec<String>,
@@ -72,7 +71,7 @@ impl fmt::Display for ArchiveError {
 impl std::error::Error for ArchiveError {}
 
 /// Operational counters maintained by the archive.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArchiveStats {
     /// Objects ingested.
     pub ingested: u64,

@@ -8,10 +8,9 @@
 use crate::archive::Archive;
 use ltds_core::units::Hours;
 use ltds_stochastic::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Per-threat injection rates, expressed as expected events per node per year.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArchiveFaultInjector {
     /// Silent single-bit corruptions per node per year (bit rot).
     pub bit_flips_per_node_year: f64,

@@ -10,10 +10,9 @@ use crate::archive::{Archive, ArchiveConfig, ArchiveStats};
 use crate::injection::ArchiveFaultInjector;
 use ltds_core::units::Hours;
 use ltds_stochastic::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Archive deployment (nodes, scrub period, repair mode).
     pub archive: ArchiveConfig,
@@ -49,7 +48,7 @@ impl CampaignConfig {
 }
 
 /// Outcome of one campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignReport {
     /// Objects ingested at the start.
     pub objects: usize,

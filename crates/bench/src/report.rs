@@ -1,10 +1,8 @@
 //! Paper-vs-measured reporting types.
 
-use serde::{Deserialize, Serialize};
-
 /// One row of an experiment: a quantity the paper reports (or implies) and
 /// the value this implementation measures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// What the row measures (e.g. "MTTDL (years)").
     pub label: String,
@@ -68,7 +66,7 @@ impl Row {
 }
 
 /// The result of one experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentResult {
     /// Experiment id, e.g. "E03".
     pub id: String,

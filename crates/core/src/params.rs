@@ -2,7 +2,6 @@
 
 use crate::error::ModelError;
 use crate::units::Hours;
-use serde::{Deserialize, Serialize};
 
 /// The six parameters of the paper's reliability model (§5.1–§5.3).
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 ///     .unwrap();
 /// assert_eq!(params.mttf_visible().get(), 1.4e6);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityParams {
     mv: Hours,
     ml: Hours,

@@ -14,11 +14,10 @@
 
 use crate::params::ReliabilityParams;
 use crate::wov::DoubleFaultProbabilities;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which of the paper's asymptotic regimes a parameter set falls into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OperatingRegime {
     /// Visible faults much more frequent than latent faults, short windows:
     /// Equation 9 applies.
@@ -131,7 +130,7 @@ pub fn mttdl_auto(params: &ReliabilityParams) -> (OperatingRegime, f64) {
 
 /// Relative error of each approximation against the exact Equation 7, useful
 /// for reporting how far outside its regime an approximation is being used.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproximationErrors {
     /// Relative error of Equation 9.
     pub visible_dominated: f64,

@@ -16,7 +16,6 @@
 use crate::error::ModelError;
 use crate::params::ReliabilityParams;
 use crate::units::Hours;
-use serde::{Deserialize, Serialize};
 
 /// Equation 12: MTTDL (hours) of `r` replicas with visible-fault MTTF `mv`,
 /// repair time `mrv` and correlation factor `alpha`.
@@ -134,7 +133,7 @@ pub fn required_alpha(
 
 /// A single row of the §5.5 replication-vs-correlation series
 /// (used by the E7 experiment and the replication-planning example).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicationPoint {
     /// Number of replicas.
     pub replicas: usize,

@@ -10,11 +10,10 @@
 use crate::error::ModelError;
 use crate::mttdl::mttdl_exact;
 use crate::params::ReliabilityParams;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The seven improvement levers enumerated in §6 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Increase `MV`, e.g. use media less subject to catastrophic loss.
     IncreaseMttfVisible,
@@ -130,7 +129,7 @@ impl fmt::Display for Strategy {
 }
 
 /// The MTTDL impact of applying one strategy at one improvement factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyImpact {
     /// Which lever was pulled.
     pub strategy: Strategy,

@@ -8,10 +8,9 @@
 
 use crate::memoryless::probability_within_linearised;
 use crate::params::ReliabilityParams;
-use serde::{Deserialize, Serialize};
 
 /// The four conditional second-fault probabilities of Figure 2 / Eqs. 3–6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DoubleFaultProbabilities {
     /// `P(V2 | V1)` — second visible fault within the window opened by a visible fault (Eq. 3).
     pub visible_after_visible: f64,

@@ -14,11 +14,10 @@
 
 use crate::drive::DriveSpec;
 use ltds_core::units::HOURS_PER_YEAR;
-use serde::{Deserialize, Serialize};
 
 /// Which transfer rate to assume when estimating bits moved over the service
 /// life.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RateAssumption {
     /// Use the drive's sustained media rate (datasheet calibration).
     Sustained,
@@ -30,7 +29,7 @@ pub enum RateAssumption {
 }
 
 /// Workload assumption for the bit-error estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceLifeWorkload {
     /// Service life in years (the paper uses 5).
     pub years: f64,

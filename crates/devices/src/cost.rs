@@ -8,10 +8,9 @@
 //! This module provides a deliberately simple cost model that captures both.
 
 use crate::drive::DriveSpec;
-use serde::{Deserialize, Serialize};
 
 /// Recurring per-drive operating costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingCosts {
     /// Electricity and cooling per drive per year (USD).
     pub power_per_drive_year: f64,
@@ -43,7 +42,7 @@ impl OperatingCosts {
 
 /// A replicated-collection cost plan: how many copies, on what drive, under
 /// what operating-cost assumptions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostPlan {
     /// Collection size in bytes (one logical copy).
     pub collection_bytes: f64,

@@ -1,11 +1,10 @@
 //! Drive specifications.
 
 use ltds_core::units::{Hours, HOURS_PER_YEAR};
-use serde::{Deserialize, Serialize};
 
 /// Market segment of a drive, which in the paper's argument determines its
 /// price-reliability trade-off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DriveClass {
     /// Cheap, fairly fast, fairly reliable (e.g. ATA/SATA desktop drives).
     Consumer,
@@ -17,7 +16,7 @@ pub enum DriveClass {
 /// A storage device specification, sufficient to derive the model parameters
 /// the paper needs: visible-fault MTTF, repair time, irrecoverable bit error
 /// expectations and cost.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriveSpec {
     /// Model name, e.g. `"Seagate Barracuda ST3200822A"`.
     pub name: String,

@@ -8,10 +8,9 @@
 //! and the simulator can compare the two.
 
 use ltds_core::units::Hours;
-use serde::{Deserialize, Serialize};
 
 /// Broad category of a replica's medium.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MediaKind {
     /// Always spinning / always reachable: a disk in a server.
     OnlineDisk,
@@ -21,7 +20,7 @@ pub enum MediaKind {
 
 /// Parameters describing what it takes to access (and therefore audit or
 /// repair from) a replica on a given kind of medium.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MediaAccessModel {
     /// Kind of medium.
     pub kind: MediaKind,

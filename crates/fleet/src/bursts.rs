@@ -20,7 +20,7 @@ use ltds_stochastic::SimRng;
 use serde::{Deserialize, Serialize};
 
 /// The hierarchy level a burst wipes out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultDomain {
     /// One whole site (disaster: flood, fire, decommissioning error).
     Site,
@@ -144,7 +144,7 @@ impl BurstProfile {
 }
 
 /// One correlated failure burst.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Burst {
     /// When the burst strikes, in hours.
     pub time_hours: f64,

@@ -157,13 +157,6 @@ impl<'a> ShardKernel<'a> {
         (groups + shards - 1 - shard) / shards
     }
 
-    /// Simulates the shard, consuming its dedicated RNG sub-stream, with
-    /// private scratch buffers. Loops over many shards should allocate one
-    /// [`KernelScratch`] and use [`ShardKernel::run_with`].
-    pub fn run(&self, shard: usize, rng: SimRng) -> ShardOutcome {
-        self.run_with(shard, rng, &mut KernelScratch::new())
-    }
-
     /// Simulates the shard, consuming its dedicated RNG sub-stream and
     /// reusing `scratch` for all per-slot state.
     pub fn run_with(&self, shard: usize, rng: SimRng, scratch: &mut KernelScratch) -> ShardOutcome {
@@ -841,7 +834,7 @@ mod tests {
         rng: SimRng,
     ) -> ShardOutcome {
         let index = PlacementIndex::build(config, !bursts.is_empty());
-        ShardKernel::new(config, bursts, &index).run(shard, rng)
+        ShardKernel::new(config, bursts, &index).run_with(shard, rng, &mut KernelScratch::new())
     }
 
     fn fragile_group() -> SimConfig {
@@ -932,7 +925,7 @@ mod tests {
             for shard in (0..config.shards).rev() {
                 let rng = SimRng::seed_from(7).fork(shard as u64);
                 let shared = kernel.run_with(shard, rng.clone(), &mut reused);
-                let fresh = kernel.run(shard, rng);
+                let fresh = kernel.run_with(shard, rng, &mut KernelScratch::new());
                 assert_eq!(shared.losses, fresh.losses, "round {round}, shard {shard}");
                 assert_eq!(shared.events, fresh.events, "round {round}, shard {shard}");
                 assert_eq!(

@@ -9,11 +9,10 @@
 
 use ltds_core::correlation::alpha_from_independence_score;
 use ltds_core::error::ModelError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The independence dimensions of §6.5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DiversityDimension {
     /// Different drive vendors, batches, ages ("rolling procurement").
     Hardware,
@@ -72,7 +71,7 @@ impl DiversityDimension {
 
 /// Per-dimension diversity scores for a deployment, each in `[0, 1]`
 /// (0 = identical across replicas, 1 = fully diverse).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiversityProfile {
     scores: BTreeMap<DiversityDimension, f64>,
 }

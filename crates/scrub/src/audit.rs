@@ -8,10 +8,8 @@
 //! uses to detect bit rot (an adversarial setting would swap in a
 //! cryptographic hash behind the same interface).
 
-use serde::{Deserialize, Serialize};
-
 /// A 64-bit content digest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Digest(pub u64);
 
 /// Computes the FNV-1a digest of a byte slice (the workspace-standard
@@ -21,7 +19,7 @@ pub fn digest(data: &[u8]) -> Digest {
 }
 
 /// Result of auditing one object replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditOutcome {
     /// Content matches the recorded digest.
     Clean,
@@ -40,7 +38,7 @@ impl AuditOutcome {
 }
 
 /// A checksum auditor holding the expected digests of a collection.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChecksumAuditor {
     expected: std::collections::BTreeMap<String, Digest>,
 }

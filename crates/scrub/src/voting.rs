@@ -8,11 +8,10 @@
 //! channel; the tie/no-quorum handling here is deliberately conservative.
 
 use crate::audit::{digest, Digest};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Result of a voting audit for one object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VoteOutcome {
     /// All replicas agree.
     Unanimous {

@@ -461,7 +461,7 @@ impl From<std::io::Error> for CampaignError {
 
 /// What a campaign run did: how much work the spec defines, how much ran,
 /// and how much of it the caches answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CampaignSummary {
     /// Work units the full campaign defines.
     pub units_total: usize,

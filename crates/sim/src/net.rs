@@ -300,7 +300,7 @@ impl Default for TcpServerConfig {
 }
 
 /// What a [`serve_tcp`] run absorbed, across all tenants.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TcpServerSummary {
     /// Tenants that ran to completion.
     pub tenants_done: u64,

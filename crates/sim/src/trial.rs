@@ -12,10 +12,9 @@
 use crate::config::{DetectionModel, SimConfig};
 use ltds_core::fault::FaultClass;
 use ltds_stochastic::{BiasedFaultRace, FaultRace, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// The result of one trial.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrialOutcome {
     /// Time of data loss in hours, or `None` if the trial hit the safety cap
     /// without losing data (censored).
@@ -276,7 +275,11 @@ impl TrialRunner {
 
     /// Starts a path at time zero: every replica intact, with its first
     /// fault drawn at the baseline rates in replica order.
-    #[inline]
+    // Inlined into both callers, like `advance`: as a call it costs the
+    // short, mostly censored trials of the rare-event configuration 8 %
+    // of their time. A plain `#[inline]` hint is not enough: whether it
+    // is taken moves with unrelated code in this module.
+    #[inline(always)]
     pub(crate) fn start<R: Race>(
         &self,
         races: &Races<R>,

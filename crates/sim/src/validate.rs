@@ -24,10 +24,9 @@
 use crate::config::{DetectionModel, SimConfig};
 use crate::monte_carlo::{MonteCarlo, MttdlEstimate};
 use ltds_core::mttdl;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one validation point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ValidationReport {
     /// Configuration that was simulated.
     pub config: SimConfig,

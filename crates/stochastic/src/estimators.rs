@@ -161,7 +161,7 @@ impl ConfidenceInterval {
 }
 
 /// Estimate of a Bernoulli proportion (e.g. probability of data loss by a horizon).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProportionEstimate {
     successes: u64,
     trials: u64,

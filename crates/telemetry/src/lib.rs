@@ -41,7 +41,7 @@ pub const TRACE_SCHEMA: &str = "ltds-trace/1";
 /// Telemetry knobs. Lives on *drivers* (`FleetSim`, campaign driver), never
 /// inside `FleetConfig`/`SimConfig`: configs are content-addressed cache
 /// keys and digest inputs, and observability must not perturb them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Sim-time hours between metric samples.
     pub sample_period_hours: f64,
@@ -477,12 +477,13 @@ impl Probe for ShardTelemetry {
                 // Every repair starts with a `RepairStart`, which closes its
                 // latent fault, so none is still open when it completes.
                 debug_assert!(!self.slot_latent[s], "a repair completed on an open latent fault");
+                // That `RepairStart` also set the serving site, and only a
+                // loss clears it, which drops the pending completion too.
                 let site = self.slot_site[s];
-                if site != NO_SITE {
-                    self.site_queue[site as usize] -= 1;
-                    self.in_flight -= 1;
-                    self.slot_site[s] = NO_SITE;
-                }
+                debug_assert!(site != NO_SITE, "a repair completed with no site serving it");
+                self.site_queue[site as usize] -= 1;
+                self.in_flight -= 1;
+                self.slot_site[s] = NO_SITE;
             }
         }
         self.rings[group].push(self.config.ring_capacity, TraceEvent { t, replica, event });
@@ -682,7 +683,7 @@ impl std::error::Error for ScanError {}
 /// Validated scan of a trace file: line counts per kind plus loss totals
 /// re-derived from the post-mortem stream and cross-checked against the
 /// trailing `run` summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceScan {
     /// Parsed header.
     pub meta: TraceMeta,
